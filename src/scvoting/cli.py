@@ -184,13 +184,6 @@ def _emit(args, payload, human_lines):
             print(line)
 
 
-def _axiom_summary(inst: ScvInstance, committee) -> dict:
-    return {
-        axiom: axioms.verdict_to_json(inst, axioms.check_axiom(inst, committee, axiom))
-        for axiom in axioms.ALL_AXIOMS
-    }
-
-
 def _describe_verdict(inst: ScvInstance, verdict) -> str:
     if verdict.satisfied:
         return f"{verdict.axiom}: pass"
@@ -243,26 +236,23 @@ def _cmd_solve(args) -> int:
         committee, trace = greedy.solve_greedy(inst)
         if args.trace:
             _write(args.trace, greedy.trace_to_json_lines(inst, trace))
-        payload = {
-            "rule": "greedy",
-            "committee": list(inst.names_of(committee.members)),
-            "axioms": _axiom_summary(inst, committee),
-        }
+        payload = {"rule": "greedy", "committee": list(inst.names_of(committee.members))}
     else:
         committee, score = pav.maximize(inst, args.rule, budget=args.budget)
         payload = {
             "variant": args.rule,
             "committee": list(inst.names_of(committee.members)),
             "score": pav.score_to_json(score),
-            "axioms": _axiom_summary(inst, committee),
         }
+    verdicts = [axioms.check_axiom(inst, committee, axiom) for axiom in axioms.ALL_AXIOMS]
+    payload["axioms"] = {
+        axiom: axioms.verdict_to_json(inst, verdict)
+        for axiom, verdict in zip(axioms.ALL_AXIOMS, verdicts)
+    }
     lines = [f"committee: {','.join(inst.names_of(committee.members))}"]
     if "score" in payload:
         lines.append(f"score: {payload['score']['num']}/{payload['score']['den']}")
-    lines += [
-        _describe_verdict(inst, axioms.check_axiom(inst, committee, axiom))
-        for axiom in axioms.ALL_AXIOMS
-    ]
+    lines += [_describe_verdict(inst, verdict) for verdict in verdicts]
     _emit(args, payload, lines)
     return EXIT_OK
 

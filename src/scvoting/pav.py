@@ -1,27 +1,36 @@
 """Exact harmonic (PAV-style) scoring and optimization over committees.
 
 Two generalizations of proportional approval voting are scored and
-maximized, always in exact rational arithmetic:
+maximized, always exactly:
 
 * ``sw-pav``: a voter with j approved committee members anywhere contributes
   the j-th harmonic number, H(j) = 1 + 1/2 + ... + 1/j.
 * ``iw-pav``: the harmonic utility is earned per subset and summed, so a
   voter contributes sum_j H(|committee /\\ ballot /\\ subset j|).
 
+All arithmetic is on integers scaled by L = lcm(1..c_max), where c_max is
+the largest count any voter can reach in the scope being scored: then every
+L·H(j) and every step L/j is an integer.  One :class:`~fractions.Fraction`
+is built per result, at the API boundary.
+
 Maximization is exhaustive (these optima are NP-hard in general) over the
-feasible committees, guarded by a count budget and sped up by an upper-bound
-prune; for ``iw-pav`` the objective splits per subset, so each subset is
-optimized independently.  Ties always resolve to the committee whose sorted
-member-id tuple is lexicographically least.
+feasible committees and guarded by a count budget.  One depth-first search
+serves both variants: it picks one candidate per level, keeps the per-voter
+approval counts up to date as it descends and backs out, and prunes a branch
+once even a full point per voter in every open slot could not reach the
+incumbent.  ``sw-pav`` searches all subsets at once; the ``iw-pav``
+objective splits per subset, so it searches each subset alone.  Ties always
+resolve to the committee whose sorted member-id tuple is lexicographically
+least.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
-from math import comb
-from typing import Iterable, Optional
+from math import comb, lcm, prod
+from typing import Iterable, Sequence
 
 from .core import Committee, ScvInstance
 from .errors import BudgetExceeded, NotMember
@@ -33,36 +42,50 @@ VARIANTS = (SW_PAV, IW_PAV)
 DEFAULT_MAXIMIZE_BUDGET = 10_000_000
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
+def _scaled_harmonics(c_max: int) -> tuple[int, tuple[int, ...]]:
+    """``(L, table)`` with L = lcm(1..c_max) and ``table[j] == L * H(j)``
+    for every j <= c_max."""
+    scale = lcm(*range(1, c_max + 1))
+    table = [0]
+    for j in range(1, c_max + 1):
+        table.append(table[-1] + scale // j)
+    return scale, tuple(table)
+
+
 def harmonic(j: int) -> Fraction:
     """The j-th harmonic number as an exact rational; ``harmonic(0) == 0``."""
     if j < 0:
         raise ValueError(f"harmonic undefined for negative {j}")
-    if j == 0:
-        return Fraction(0)
-    return harmonic(j - 1) + Fraction(1, j)
+    scale, table = _scaled_harmonics(j)
+    return Fraction(table[j], scale)
 
 
-def _score_of_set(inst: ScvInstance, members: frozenset[int]) -> Fraction:
-    return sum(
-        (harmonic(len(members & ballot)) for ballot in inst.ballots), Fraction(0)
-    )
+def _histogram(inst: ScvInstance, scopes: Iterable[frozenset[int]]) -> Counter[int]:
+    """How many (voter, scope) pairs have each count of approved members in
+    the scope."""
+    return Counter(len(ballot & scope) for scope in scopes for ballot in inst.ballots)
+
+
+def _harmonic_sum(histogram: Counter[int]) -> Fraction:
+    """Exact sum of m·H(c) over the histogram's (count c, multiplicity m)
+    pairs; m may be negative."""
+    scale, table = _scaled_harmonics(max(histogram, default=0))
+    return Fraction(sum(table[c] * m for c, m in histogram.items()), scale)
 
 
 def sw_pav_score(inst: ScvInstance, committee) -> Fraction:
     """Span-wide harmonic score of a feasible committee."""
-    return _score_of_set(inst, Committee.of(inst, committee).members)
+    members = Committee.of(inst, committee).members
+    return _harmonic_sum(_histogram(inst, [members]))
 
 
 def iw_pav_score(inst: ScvInstance, committee) -> Fraction:
     """Per-subset harmonic score of a feasible committee."""
     members = Committee.of(inst, committee).members
-    total = Fraction(0)
-    for sub in inst.subsets:
-        won_j = members & frozenset(sub.members)
-        for ballot in inst.ballots:
-            total += harmonic(len(won_j & ballot))
-    return total
+    return _harmonic_sum(
+        _histogram(inst, [members.intersection(sub.members) for sub in inst.subsets])
+    )
 
 
 def marginal_contribution(inst: ScvInstance, committee, candidate: int) -> Fraction:
@@ -76,9 +99,9 @@ def marginal_contribution(inst: ScvInstance, committee, candidate: int) -> Fract
         raise NotMember(
             f"candidate {candidate} is not in the committee {sorted(members)}"
         )
-    return _score_of_set(inst, members) - _score_of_set(
-        inst, members - {candidate}
-    )
+    histogram = _histogram(inst, [members])
+    histogram.subtract(_histogram(inst, [members - {candidate}]))
+    return _harmonic_sum(histogram)
 
 
 def score_to_json(score: Fraction) -> dict:
@@ -98,96 +121,103 @@ def maximize(
     Among co-optimal committees the lexicographically least sorted member
     tuple is returned.
     """
-    if variant == SW_PAV:
-        return _maximize_sw(inst, budget)
-    if variant == IW_PAV:
-        return _maximize_iw(inst, budget)
-    raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-
-
-def _maximize_sw(inst: ScvInstance, budget: int) -> tuple[Committee, Fraction]:
-    total = 1
-    for sub in inst.subsets:
-        total *= comb(sub.size, sub.quota)
+    if variant not in VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    per_subset = [comb(sub.size, sub.quota) for sub in inst.subsets]
+    total = sum(per_subset) if variant == IW_PAV else prod(per_subset)
     if total > budget:
         raise BudgetExceeded(total, budget)
 
-    n = inst.num_voters
-    approvers = [[] for _ in range(inst.num_candidates)]
+    approvers: list[list[int]] = [[] for _ in range(inst.num_candidates)]
     for i, ballot in enumerate(inst.ballots):
         for c in ballot:
             approvers[c].append(i)
-    pools = [sorted(sub.members) for sub in inst.subsets]
-    quotas = [sub.quota for sub in inst.subsets]
-    slots_after = [sum(quotas[j:]) for j in range(len(quotas) + 1)]
+    subsets = [(sorted(sub.members), sub.quota) for sub in inst.subsets]
+    if variant == SW_PAV:
+        c_max = min(inst.committee_size, max(map(len, inst.ballots), default=0))
+        scale, table = _scaled_harmonics(c_max)
+        score, members = _search(approvers, inst.num_voters, subsets, table)
+    else:
+        c_max = 0
+        for pool, quota in subsets:
+            reach = max((len(ballot.intersection(pool)) for ballot in inst.ballots), default=0)
+            c_max = max(c_max, min(quota, reach))
+        scale, table = _scaled_harmonics(c_max)
+        score, members = 0, ()
+        for part in subsets:
+            part_score, part_members = _search(approvers, inst.num_voters, [part], table)
+            score += part_score
+            members += part_members
+    return Committee(frozenset(members)), Fraction(score, scale)
 
-    counts = [0] * n
-    best_score: Optional[Fraction] = None
-    best_members: Optional[tuple[int, ...]] = None
 
-    def apply(combo: Iterable[int]) -> Fraction:
-        gained = Fraction(0)
-        for c in combo:
-            for i in approvers[c]:
-                counts[i] += 1
-                gained += Fraction(1, counts[i])
-        return gained
+def _search(
+    approvers: Sequence[Sequence[int]],
+    num_voters: int,
+    subsets: Sequence[tuple[Sequence[int], int]],
+    table: Sequence[int],
+) -> tuple[int, tuple[int, ...]]:
+    """Best scaled score over every choice of ``quota`` members from each
+    ``(sorted pool, quota)`` pair, with the lexicographically least sorted
+    member tuple among ties.
 
-    def undo(combo: Iterable[int]):
-        for c in combo:
-            for i in approvers[c]:
+    A voter's count starts at 0 and its score at count j is ``table[j]``, so
+    ``table`` must reach the largest count any voter can get here.  Each
+    level of the search picks one member, after the previous pick of the
+    same pool, so every combination is reached once and shares the work of
+    its prefix.  The loop is iterative so that a committee with thousands of
+    seats does not exhaust the interpreter stack.
+    """
+    levels = [
+        (pool, s == 0, len(pool) - quota + s + 1)
+        for pool, quota in subsets
+        for s in range(quota)
+    ]
+    depth = len(levels)
+    if depth == 0:
+        return 0, ()
+    steps = [b - a for a, b in zip(table, table[1:])]  # steps[j]: gain of count j -> j+1
+    # the most the levels from d onward can add: a first approval, L, per voter each
+    full = steps[0] if steps else 0
+    room = [num_voters * full * (depth - d) for d in range(depth + 1)]
+    counts = [0] * num_voters
+    picks = [-1] * depth
+    partial = [0] * depth
+    best, best_members = -1, ()
+
+    d, applied = 0, False
+    while d >= 0:
+        pool, fresh, end = levels[d]
+        if applied:
+            for i in approvers[pool[picks[d]]]:
                 counts[i] -= 1
-
-    def descend(j: int, chosen: tuple[int, ...], score: Fraction):
-        nonlocal best_score, best_members
-        if j == len(pools):
-            if (
-                best_score is None
-                or score > best_score
-                or (score == best_score and chosen < best_members)
-            ):
-                best_score, best_members = score, chosen
-            return
-        for combo in combinations(pools[j], quotas[j]):
-            gained = apply(combo)
-            partial = score + gained
-            # each future slot can add at most 1 per voter
-            if best_score is None or partial + n * slots_after[j + 1] >= best_score:
-                descend(j + 1, tuple(sorted(chosen + combo)), partial)
-            undo(combo)
-
-    descend(0, (), Fraction(0))
-    assert best_members is not None
-    return Committee(frozenset(best_members)), best_score
-
-
-def _maximize_iw(inst: ScvInstance, budget: int) -> tuple[Committee, Fraction]:
-    # the per-subset scores are independent, so optimize each pool alone
-    total = sum(comb(sub.size, sub.quota) for sub in inst.subsets)
-    if total > budget:
-        raise BudgetExceeded(total, budget)
-    members: list[int] = []
-    score = Fraction(0)
-    for sub in inst.subsets:
-        combo, part = _maximize_single_pool(inst, sorted(sub.members), sub.quota)
-        members.extend(combo)
-        score += part
-    return Committee(frozenset(members)), score
-
-
-def _maximize_single_pool(
-    inst: ScvInstance, pool: list[int], quota: int
-) -> tuple[tuple[int, ...], Fraction]:
-    """Best ``quota``-subset of ``pool`` under the harmonic score restricted
-    to this pool; lexicographically least on ties."""
-    best_score: Optional[Fraction] = None
-    best_combo: Optional[tuple[int, ...]] = None
-    for combo in combinations(pool, quota):
-        chosen = frozenset(combo)
-        score = sum(
-            (harmonic(len(chosen & ballot)) for ballot in inst.ballots),
-            Fraction(0),
-        )
-        if best_score is None or score > best_score:
-            best_score, best_combo = score, combo
-    return best_combo, best_score
+        p = picks[d] + 1
+        if p >= end:
+            d, applied = d - 1, True
+            continue
+        picks[d] = p
+        voters = approvers[pool[p]]
+        if d + 1 == depth:
+            # a leaf is scored without touching the counts
+            score = partial[d]
+            for i in voters:
+                score += steps[counts[i]]
+            if score >= best:
+                members = tuple(sorted(lv[0][q] for lv, q in zip(levels, picks)))
+                if score > best or members < best_members:
+                    best, best_members = score, members
+            applied = False
+            continue
+        score = partial[d]
+        for i in voters:
+            t = counts[i]
+            score += steps[t]
+            counts[i] = t + 1
+        applied = True
+        if score + room[d + 1] < best:
+            continue
+        d += 1
+        partial[d] = score
+        picks[d] = -1 if levels[d][1] else p
+        applied = False
+    return best, best_members

@@ -5,7 +5,7 @@ import json
 import pytest
 
 import scvoting as sv
-from scvoting import fixtures
+from scvoting import axioms, fixtures
 from scvoting.cli import run
 from scvoting.core import to_json_text
 
@@ -118,6 +118,21 @@ def test_solve_pav_reports_score_and_axioms(tmp_path, capsys):
     assert payload["committee"] == ["a", "b1", "c1"]
     assert payload["score"] == {"num": "8", "den": "1"}
     assert payload["axioms"]["sw-jr"]["satisfied"] is False
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+@pytest.mark.parametrize("rule", ["greedy", "sw-pav", "iw-pav"])
+def test_solve_checks_each_axiom_once(split_file, monkeypatch, capsys, mode, rule):
+    calls = []
+    check_axiom = axioms.check_axiom
+
+    def counting(inst, committee, axiom):
+        calls.append(axiom)
+        return check_axiom(inst, committee, axiom)
+
+    monkeypatch.setattr(axioms, "check_axiom", counting)
+    assert run([*mode, "solve", "--rule", rule, split_file]) == 0
+    assert sorted(calls) == sorted(sv.ALL_AXIOMS)
 
 
 def test_solve_budget_exhaustion(tmp_path, capsys):

@@ -1,24 +1,48 @@
 """Exact harmonic scores, marginal contributions, and maximization."""
 
+import json
 import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 from math import lcm
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import scvoting as sv
 from scvoting import fixtures
+from scvoting.cli import run
 from conftest import random_committee, random_instance
 
 
-def lexmin_argmax(inst, score_of):
+# -- the oracle: plain rational sums, sharing no code with scvoting.pav -------------
+
+
+@lru_cache(maxsize=None)
+def exact_harmonic(j):
+    return sum((Fraction(1, t) for t in range(1, j + 1)), Fraction(0))
+
+
+def oracle_score(inst, members, variant):
+    if variant == sv.SW_PAV:
+        scopes = [frozenset(members)]
+    else:
+        scopes = [frozenset(members) & frozenset(sub.members) for sub in inst.subsets]
+    return sum(
+        (exact_harmonic(len(scope & ballot)) for scope in scopes for ballot in inst.ballots),
+        Fraction(0),
+    )
+
+
+def lexmin_argmax(inst, variant):
     best = None
     for w in sv.iter_feasible_committees(inst):
-        key = (-score_of(inst, w), w.sorted_members)
+        key = (-oracle_score(inst, w.members, variant), w.sorted_members)
         if best is None or key < best[0]:
             best = (key, w)
-    return best[1], score_of(inst, best[1])
+    return best[1], -best[0][0]
 
 
 def test_harmonic_values():
@@ -27,8 +51,41 @@ def test_harmonic_values():
     assert sv.harmonic(2) == Fraction(3, 2)
     assert sv.harmonic(3) == Fraction(11, 6)
     assert sv.harmonic(5) == Fraction(137, 60)
+    assert sv.harmonic(5000) == exact_harmonic(5000)
     with pytest.raises(ValueError):
         sv.harmonic(-1)
+
+
+def test_scores_of_a_committee_with_thousands_of_seats(tmp_path, capsys):
+    a = [f"a{i}" for i in range(1200)]
+    b = [f"b{i}" for i in range(1000)]
+    inst = sv.ScvInstance.from_names(3, [("A", a, 1200), ("B", b, 800)], [a + b, b, []])
+    w = inst.committee(range(2000))  # all of A and b0..b799
+    want_sw = exact_harmonic(2000) + exact_harmonic(800)
+    want_iw = exact_harmonic(1200) + 2 * exact_harmonic(800)
+    assert sv.sw_pav_score(inst, w) == want_sw
+    assert sv.iw_pav_score(inst, w) == want_iw
+
+    path = tmp_path / "wide.json"
+    path.write_text(sv.serialize_instance(inst))
+    names = ",".join(inst.names_of(w.members))
+    for variant, want in ((sv.SW_PAV, want_sw), (sv.IW_PAV, want_iw)):
+        assert run(["--json", "score", "--variant", variant, "--committee", names, str(path)]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["score"] == {"num": str(want.numerator), "den": str(want.denominator)}
+
+
+def test_maximize_fills_a_committee_with_thousands_of_seats():
+    # 801 feasible committees, each of 2,000 seats: A is forced, and voter 2
+    # approves only b800, so the optimum drops b799, the largest of the tied rest
+    a = [f"a{i}" for i in range(1200)]
+    b = [f"b{i}" for i in range(801)]
+    inst = sv.ScvInstance.from_names(3, [("A", a, 1200), ("B", b, 800)], [a + b, b, ["b800"]])
+    want = frozenset(range(2001)) - {inst.candidate_id("b799")}
+    w, score = sv.maximize(inst, sv.SW_PAV)
+    assert (w.members, score) == (want, exact_harmonic(2000) + exact_harmonic(800) + 1)
+    w, score = sv.maximize(inst, sv.IW_PAV)
+    assert (w.members, score) == (want, exact_harmonic(1200) + exact_harmonic(800) * 2 + 1)
 
 
 def test_single_voter_span_vs_per_subset_contribution():
@@ -98,9 +155,8 @@ def test_contribution_is_the_exact_score_difference():
         for c in w.members:
             mc = sv.marginal_contribution(inst, w, c)
             assert mc >= 0
-            direct = sv.sw_pav_score(inst, w) - sum(
-                (sv.harmonic(len((w.members - {c}) & b)) for b in inst.ballots),
-                Fraction(0),
+            direct = oracle_score(inst, w.members, sv.SW_PAV) - oracle_score(
+                inst, w.members - {c}, sv.SW_PAV
             )
             assert mc == direct
 
@@ -167,14 +223,61 @@ def test_maximize_matches_exhaustive_enumeration():
     rng = random.Random(24)
     for _ in range(40):
         inst = random_instance(rng, max_voters=8, max_candidates=8)
-        for variant, score_of in (
-            (sv.SW_PAV, sv.sw_pav_score),
-            (sv.IW_PAV, sv.iw_pav_score),
-        ):
+        for variant in sv.VARIANTS:
             got_w, got_score = sv.maximize(inst, variant)
-            want_w, want_score = lexmin_argmax(inst, score_of)
+            want_w, want_score = lexmin_argmax(inst, variant)
             assert got_score == want_score
             assert got_w.members == want_w.members, (variant, sorted(got_w.members))
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """Up to 10 voters, 10 candidates and 3 subsets, whose candidate ids may
+    interleave.  Ballots are all empty (approval probability 0), all full
+    (probability 1), copies of at most three distinct ballots, or drawn
+    independently."""
+    total = draw(st.integers(1, 10))
+    ids = draw(st.permutations(range(total)))
+    cuts = draw(st.sets(st.integers(1, total - 1), max_size=2)) if total > 1 else set()
+    bounds = [0, *sorted(cuts), total]
+    subsets = [
+        sv.CandidateSubset(f"S{j}", ids[lo:hi], draw(st.integers(1, hi - lo)))
+        for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
+    voters = draw(st.integers(1, 10))
+    ballot = st.frozensets(st.integers(0, total - 1))
+    shape = draw(st.sampled_from(["empty", "full", "copies", "free"]))
+    if shape == "empty":
+        ballots = [frozenset()] * voters
+    elif shape == "full":
+        ballots = [frozenset(ids)] * voters
+    elif shape == "copies":
+        kinds = draw(st.lists(ballot, min_size=1, max_size=3))
+        ballots = [draw(st.sampled_from(kinds)) for _ in range(voters)]
+    else:
+        ballots = [draw(ballot) for _ in range(voters)]
+    names = [f"c{i}" for i in range(total)]
+    return sv.validate_instance(sv.ScvInstance(voters, names, subsets, ballots))
+
+
+# {1, 2} and {0, 3} tie at 2, so the search must replace the first optimum it meets
+INTERLEAVED_TIE = sv.validate_instance(
+    sv.ScvInstance(
+        2,
+        ["c0", "c1", "c2", "c3"],
+        [sv.CandidateSubset("S0", (1, 3), 1), sv.CandidateSubset("S1", (0, 2), 1)],
+        [frozenset({0, 1}), frozenset({2, 3})],
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(tie_heavy_instances(), st.sampled_from(sv.VARIANTS))
+@example(INTERLEAVED_TIE, sv.SW_PAV)
+def test_maximize_matches_the_oracle_on_tie_heavy_draws(inst, variant):
+    got_w, got_score = sv.maximize(inst, variant)
+    want_w, want_score = lexmin_argmax(inst, variant)
+    assert (got_w.sorted_members, got_score) == (want_w.sorted_members, want_score)
 
 
 def test_optima_keep_their_axiom_guarantees():
