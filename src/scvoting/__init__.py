@@ -81,7 +81,12 @@ from .pav import (
     score_to_json,
     sw_pav_score,
 )
-from .search import decode_committee_to_cover, encode_set_cover, sw_jr_exists
+from .search import (
+    SearchStats,
+    decode_committee_to_cover,
+    encode_set_cover,
+    sw_jr_exists,
+)
 
 __version__ = "0.1.0"
 

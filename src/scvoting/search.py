@@ -3,11 +3,35 @@
 Deciding whether any feasible committee satisfies the span-wide axiom is
 NP-complete, so :func:`sw_jr_exists` is an exact exponential backtracking
 search: it walks candidate ids in increasing order, growing a committee one
-member at a time, and prunes a branch once some voter group is provably
-unrepresentable in every completion.  Every accepted leaf is re-verified
-with ``check_sw_jr``, so pruning bugs could only cost time, never answers.
-The first accepted leaf in this order is the lexicographically least
-satisfying committee, which is what the search returns.
+member at a time.  Its state is the list of chosen members, the open slots
+of each subset, and the unrepresented voters with a non-empty ballot as a
+Python-int bitmask: bit i of ``approvers[c]`` is set when voter i approves
+c, and choosing c maps the mask ``unrep`` to ``unrep & ~approvers[c]``.
+
+Two exact rules cut a branch before it is walked:
+
+* *Quota room*: some subset has more open slots than members left at or
+  after the current position.
+* *Coverage capacity*: let t = ceil(n/k).  A committee satisfies the axiom
+  iff every candidate keeps at most t - 1 unrepresented supporters, so
+  every group of voters that needs a representative must get enough of
+  them from the open slots.  The open slots can represent at most
+  ``capacity`` voters of a group: for each subset j, the sum of the top
+  ``need[j]`` values of ``|approvers[c'] & group|`` over its members c' at
+  or after the position, added over the subsets, and never more than the
+  group voters some such c' approves.  When t == 1 the group is every
+  unrepresented voter with a non-empty ballot, and the branch is cut when
+  the capacity is below its size; in the set-cover encoding this is the
+  classic "budget times best residual coverage < uncovered" test.  When
+  t >= 2 the groups are the unrepresented supporters S_c of each candidate
+  with |S_c| >= t, and the branch is cut when the capacity is below
+  |S_c| - t + 1.  A voter none of the remaining candidates can represent
+  counts against the capacity, so a dead ballot ends a branch as well.
+
+Every accepted leaf is re-verified with ``check_sw_jr``, so pruning bugs
+could only cost time, never answers.  The first accepted leaf in this order
+is the lexicographically least satisfying committee, which is what the
+search returns.  A :class:`SearchStats` passed in receives the work done.
 
 :func:`encode_set_cover` embeds a set-cover question into this decision
 problem: voters are the ground elements, one single-voter candidate per
@@ -19,7 +43,8 @@ the cover exists, and :func:`decode_committee_to_cover` extracts the cover.
 
 from __future__ import annotations
 
-from collections import Counter
+from bisect import bisect_left
+from dataclasses import dataclass
 from typing import Optional
 
 from .core import (
@@ -35,57 +60,93 @@ from .axioms import check_sw_jr
 DEFAULT_SEARCH_BUDGET = 10_000_000
 
 
+@dataclass
+class SearchStats:
+    """Work done by :func:`sw_jr_exists`; each call adds to the counts.
+
+    ``nodes`` counts the search nodes entered (root, inner nodes and
+    leaves), ``leaves`` the complete committees re-verified with
+    ``check_sw_jr``, and ``pruned_quota`` / ``pruned_capacity`` the nodes
+    cut by each prune rule.
+    """
+
+    nodes: int = 0
+    leaves: int = 0
+    pruned_quota: int = 0
+    pruned_capacity: int = 0
+
+
 def sw_jr_exists(
-    inst: ScvInstance, budget: int = DEFAULT_SEARCH_BUDGET
+    inst: ScvInstance,
+    budget: int = DEFAULT_SEARCH_BUDGET,
+    stats: Optional[SearchStats] = None,
 ) -> Optional[Committee]:
     """Lexicographically least committee passing ``check_sw_jr``, or None.
 
     Raises :class:`BudgetExceeded` when the feasible-committee count is
-    beyond ``budget``.
+    beyond ``budget``.  The counts of the search are added to ``stats``
+    when one is given; the result is the same either way.
     """
     total = count_feasible_committees(inst)
     if total > budget:
         raise BudgetExceeded(total, budget)
+    if stats is None:
+        stats = SearchStats()
 
-    n = inst.num_voters
     m = inst.num_candidates
-    k = inst.committee_size
-    ballots = inst.ballots
+    t = -(-inst.num_voters // inst.committee_size)
     subset_of = inst.subset_index
-    quotas = list(inst.quotas)
+    members = [tuple(sorted(sub.members)) for sub in inst.subsets]
+    approvers = [0] * m
+    for i, ballot in enumerate(inst.ballots):
+        for c in ballot:
+            approvers[c] |= 1 << i
+    voiced = 0
+    for mask in approvers:
+        voiced |= mask
 
-    # avail[j][p] = members of subset j with id >= p, for the quota-room prune
-    avail = [[0] * (m + 1) for _ in inst.subsets]
-    for p in range(m - 1, -1, -1):
-        for j in range(len(quotas)):
-            avail[j][p] = avail[j][p + 1] + (1 if subset_of[p] == j else 0)
+    def capacity(pos: int, need: list[int], group: int) -> int:
+        """Most voters of ``group`` the open slots can still represent."""
+        top = covered = 0
+        for j, left in enumerate(need):
+            if left:
+                gains = []
+                for c in members[j][bisect_left(members[j], pos):]:
+                    hit = approvers[c] & group
+                    covered |= hit
+                    gains.append(hit.bit_count())
+                gains.sort(reverse=True)
+                top += sum(gains[:left])
+        return min(top, covered.bit_count())
 
-    hits = [0] * n  # approved chosen members per voter
+    def hopeless(pos: int, need: list[int], unrep: int) -> bool:
+        """No completion keeps every candidate below t unrepresented supporters."""
+        if t == 1:
+            return capacity(pos, need, unrep) < unrep.bit_count()
+        for group in {approvers[c] & unrep for c in range(m)}:
+            size = group.bit_count()
+            if size >= t and capacity(pos, need, group) < size - t + 1:
+                return True
+        return False
 
-    def doomed(pos: int, need: list[int]) -> bool:
-        """Some cohesive group can no longer be represented by any completion."""
-        eligible = frozenset(c for c in range(pos, m) if need[subset_of[c]] > 0)
-        dead_ballots = [
-            ballots[i]
-            for i in range(n)
-            if hits[i] == 0 and not ballots[i] & eligible
-        ]
-        if len(dead_ballots) * k < n:
-            return False
-        support = Counter()
-        for ballot in dead_ballots:
-            support.update(ballot)
-        return any(count * k >= n for count in support.values())
-
-    def descend(pos: int, chosen: list[int], need: list[int]) -> Optional[Committee]:
+    def descend(
+        pos: int, chosen: list[int], need: list[int], unrep: int
+    ) -> Optional[Committee]:
+        stats.nodes += 1
         if not any(need):
+            stats.leaves += 1
             committee = Committee(frozenset(chosen))
             if check_sw_jr(inst, committee).satisfied:
                 return committee
             return None
-        if any(need[j] > avail[j][pos] for j in range(len(need))):
+        if any(
+            left > len(ids) - bisect_left(ids, pos)
+            for left, ids in zip(need, members)
+        ):
+            stats.pruned_quota += 1
             return None
-        if doomed(pos, need):
+        if hopeless(pos, need, unrep):
+            stats.pruned_capacity += 1
             return None
         for c in range(pos, m):
             j = subset_of[c]
@@ -93,20 +154,15 @@ def sw_jr_exists(
                 continue
             need[j] -= 1
             chosen.append(c)
-            for i in range(n):
-                if c in ballots[i]:
-                    hits[i] += 1
-            found = descend(c + 1, chosen, need)
-            for i in range(n):
-                if c in ballots[i]:
-                    hits[i] -= 1
+            found = descend(c + 1, chosen, need, unrep & ~approvers[c])
             chosen.pop()
             need[j] += 1
             if found is not None:
                 return found
         return None
 
-    return descend(0, [], quotas)
+    # voters with an empty ballot never count against the axiom
+    return descend(0, [], list(inst.quotas), voiced)
 
 
 def encode_set_cover(sc: SetCoverInstance) -> ScvInstance:

@@ -1,12 +1,23 @@
 """Existence search and the set-cover encoding, against brute force."""
 
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import scvoting as sv
 from scvoting import fixtures
 from conftest import cover_exists, random_instance
+
+FIXTURES = [
+    fixtures.no_swjr_instance,
+    fixtures.axiom_split_instance,
+    fixtures.pav_vs_swjr_instance,
+    fixtures.swpav_vs_iwjr_instance,
+    fixtures.iwpav_vs_weak_instance,
+]
 
 
 def exhaustive_sw_jr(inst):
@@ -14,6 +25,41 @@ def exhaustive_sw_jr(inst):
         if sv.check_sw_jr(inst, w).satisfied:
             return w
     return None
+
+
+def lexmin_passing(inst):
+    """Least sorted member tuple of a committee passing ``check_sw_jr``, or None."""
+    return min(
+        (
+            w.sorted_members
+            for w in sv.iter_feasible_committees(inst)
+            if sv.check_sw_jr(inst, w).satisfied
+        ),
+        default=None,
+    )
+
+
+def all_pairs(ground, budget):
+    """Demo 04's family: every pair of a ground set of the given size."""
+    pairs = [frozenset(pair) for pair in combinations(range(ground), 2)]
+    return sv.SetCoverInstance.of(ground, pairs, budget)
+
+
+def deadlock(scale, mirrored=False, spare=0):
+    """``scale`` voters on each of a1 and a2, which share one slot.
+
+    n/k = scale, so t = scale: t == 1 for scale 1 and t >= 2 above it.  The
+    spare candidates in the a-subset are approved by nobody.
+    """
+    subsets = [
+        ("C1", ["a1", "a2"] + [f"x{i}" for i in range(spare)], 1),
+        ("C2", ["b1", "b2"], 1),
+    ]
+    if mirrored:
+        subsets.reverse()
+    return sv.ScvInstance.from_names(
+        2 * scale, subsets, [["a1"]] * scale + [["a2"]] * scale
+    )
 
 
 # -- existence search -----------------------------------------------------------
@@ -25,18 +71,8 @@ def test_deadlock_instance_has_no_committee():
 
 def test_deadlock_variants_have_no_committee():
     # mirrored and padded versions of the two-voter deadlock
-    mirrored = sv.ScvInstance.from_names(
-        2,
-        [("C1", ["b1", "b2"], 1), ("C2", ["a1", "a2"], 1)],
-        [["a1"], ["a2"]],
-    )
-    assert sv.sw_jr_exists(mirrored) is None
-    scaled = sv.ScvInstance.from_names(
-        4,
-        [("C1", ["a1", "a2"], 1), ("C2", ["b1", "b2"], 1)],
-        [["a1"], ["a1"], ["a2"], ["a2"]],
-    )
-    assert sv.sw_jr_exists(scaled) is None
+    assert sv.sw_jr_exists(deadlock(1, mirrored=True)) is None
+    assert sv.sw_jr_exists(deadlock(2)) is None
 
 
 def test_unanimous_candidates_are_found():
@@ -70,18 +106,98 @@ def test_search_agrees_with_exhaustive_enumeration():
     for _ in range(150):
         inst = random_instance(rng, max_voters=8, max_candidates=8)
         found = sv.sw_jr_exists(inst)
-        want = exhaustive_sw_jr(inst)
-        if want is None:
+        if exhaustive_sw_jr(inst) is None:
             assert found is None
         else:
             assert found is not None
             assert sv.check_sw_jr(inst, found).satisfied
-            passing = [
-                w.sorted_members
-                for w in sv.iter_feasible_committees(inst)
-                if sv.check_sw_jr(inst, w).satisfied
-            ]
-            assert found.sorted_members == min(passing)
+            assert found.sorted_members == lexmin_passing(inst)
+
+
+@st.composite
+def search_instances(draw):
+    """Up to 9 candidates in at most 3 subsets whose ids may interleave.
+
+    The voters number at most k (so t = ceil(n/k) = 1) or more than k
+    (t >= 2); ballots hold at most three candidates and are either drawn
+    independently or copied from at most three kinds.
+    """
+    total = draw(st.integers(1, 9))
+    ids = draw(st.permutations(range(total)))
+    cuts = draw(st.sets(st.integers(1, total - 1), max_size=2)) if total > 1 else set()
+    bounds = [0, *sorted(cuts), total]
+    subsets = [
+        sv.CandidateSubset(f"S{j}", ids[lo:hi], draw(st.integers(1, hi - lo)))
+        for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
+    k = sum(sub.quota for sub in subsets)
+    voters = draw(st.integers(1, k) | st.integers(k + 1, 3 * k + 2))
+    ballot = st.frozensets(st.integers(0, total - 1), max_size=3)
+    if draw(st.booleans()):
+        kinds = draw(st.lists(ballot, min_size=1, max_size=3))
+        ballots = [draw(st.sampled_from(kinds)) for _ in range(voters)]
+    else:
+        ballots = [draw(ballot) for _ in range(voters)]
+    names = [f"c{i}" for i in range(total)]
+    return sv.validate_instance(sv.ScvInstance(voters, names, subsets, ballots))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    search_instances()
+    | st.builds(deadlock, st.integers(1, 4), st.booleans(), st.integers(0, 2))
+)
+@example(deadlock(1))
+@example(deadlock(3, mirrored=True, spare=1))
+def test_search_matches_the_oracles_in_both_regimes(inst):
+    want = lexmin_passing(inst)
+    assert (exhaustive_sw_jr(inst) is None) == (want is None)
+    found = sv.sw_jr_exists(inst)
+    assert (None if found is None else found.sorted_members) == want
+
+
+def test_capacity_equal_to_the_shortfall_does_not_prune():
+    # n/k = 2, so t = 2.  After a, the three b-supporters still need two
+    # representatives, and the one open slot can give exactly two (u).
+    inst = sv.ScvInstance.from_names(
+        4,
+        [("C1", ["a", "b"], 1), ("C2", ["u", "v"], 1)],
+        [["b", "u"], ["b", "u"], ["b"], ["a"]],
+    )
+    found = sv.sw_jr_exists(inst)
+    assert found is not None
+    assert inst.names_of(found.members) == ("a", "u")
+    assert found.sorted_members == lexmin_passing(inst)
+
+
+def test_a_dead_ballot_ends_its_branch_at_once():
+    # once a fills C1, no open slot can represent voter 0, although the two
+    # C2 slots still sum to as many coverings as there are unrepresented voters
+    inst = sv.ScvInstance.from_names(
+        2,
+        [("C1", ["a", "d"], 1), ("C2", ["x", "y", "z"], 2)],
+        [["d"], ["x", "y"]],
+    )
+    stats = sv.SearchStats()
+    found = sv.sw_jr_exists(inst, stats=stats)
+    assert inst.names_of(found.members) == ("d", "x", "y")
+    # root, {a} (cut), {d}, {d, x}, {d, x, y}
+    assert stats == sv.SearchStats(nodes=5, leaves=1, pruned_capacity=1)
+
+
+@pytest.mark.parametrize("build", FIXTURES)
+def test_search_stats_are_deterministic_and_change_nothing(build):
+    inst = build()
+    first, second = sv.SearchStats(), sv.SearchStats()
+    plain = sv.sw_jr_exists(inst)
+    assert sv.sw_jr_exists(inst, stats=first) == plain
+    assert sv.sw_jr_exists(build(), stats=second) == plain
+    assert first == second
+    assert first.nodes >= 1
+    assert first.nodes >= first.leaves + first.pruned_quota + first.pruned_capacity
+    sv.sw_jr_exists(inst, stats=first)  # a second call adds to the counts
+    assert first.nodes == 2 * second.nodes
+    assert first.pruned_capacity == 2 * second.pruned_capacity
 
 
 def test_search_budget_guard():
@@ -136,6 +252,22 @@ def test_bad_budgets_rejected():
         sv.SetCoverInstance.of(2, [{0, 1, 5}], budget=1)
 
 
+def test_pairs_of_ten_are_refuted_at_the_root():
+    # four pairs cover at most 8 of the 10 voters
+    stats = sv.SearchStats()
+    assert sv.sw_jr_exists(sv.encode_set_cover(all_pairs(10, 4)), stats=stats) is None
+    assert stats == sv.SearchStats(nodes=1, pruned_capacity=1)
+
+
+def test_exact_fit_cover_survives_the_capacity_prune():
+    # at the root, four pairs can cover the eight voters exactly
+    sc = all_pairs(8, 4)
+    found = sv.sw_jr_exists(sv.encode_set_cover(sc))
+    assert found is not None
+    chosen = sv.decode_committee_to_cover(sc, found)
+    assert sorted(sorted(sc.collection[j]) for j in chosen) == [[0, 1], [2, 3], [4, 5], [6, 7]]
+
+
 def test_no_cover_means_no_committee():
     sc = sv.SetCoverInstance.of(3, [{0}, {1}, {2}], budget=2)
     assert not cover_exists(sc)
@@ -176,3 +308,25 @@ def test_reduction_biconditional_on_random_questions():
             assert len(chosen) <= sc.budget
         else:
             assert committee is None
+
+
+@st.composite
+def cover_questions(draw):
+    """Ground sets of at most 10 elements, budget 1 to 4; elements no drawn
+    entry covers get a singleton entry each."""
+    ground = draw(st.integers(1, 10))
+    entries = st.frozensets(st.integers(0, ground - 1), min_size=1)
+    collection = draw(st.lists(entries, min_size=1, max_size=8))
+    covered = frozenset().union(*collection)
+    collection += [frozenset({e}) for e in range(ground) if e not in covered]
+    budget = draw(st.integers(1, min(4, len(collection))))
+    return sv.SetCoverInstance.of(ground, collection, budget)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover_questions())
+def test_encoded_covers_match_the_cover_oracle(sc):
+    committee = sv.sw_jr_exists(sv.encode_set_cover(sc))
+    assert (committee is not None) == cover_exists(sc)
+    if committee is not None:
+        assert len(sv.decode_committee_to_cover(sc, committee)) <= sc.budget
