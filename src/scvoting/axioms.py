@@ -17,6 +17,14 @@ Each checker returns an :class:`AxiomVerdict`; failures carry a concrete
 :class:`Violation` witness.  :func:`brute_force_axiom` re-decides any of the
 four by enumerating all voter groups and is the testing oracle for the fast
 checkers.
+
+The fast checkers count support on voter bitmasks
+(:attr:`ScvInstance.approver_masks`, cached per instance): the unrepresented
+voters are everyone outside the union of the members' approver masks, and a
+candidate's support is the popcount of its mask within them
+(:func:`~scvoting.core.best_supported`).  The weak-sw-jr search intersects
+those masks.  The oracle keeps to plain frozensets, so it shares none of
+this.
 """
 
 from __future__ import annotations
@@ -24,7 +32,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .core import CandidateSubset, Committee, ScvInstance, validate_instance
+from .core import (
+    CandidateSubset,
+    Committee,
+    ScvInstance,
+    best_supported,
+    mask_voters,
+    validate_instance,
+)
 from .errors import TooLarge
 
 JR = "jr"
@@ -88,23 +103,23 @@ def _members(inst: ScvInstance, committee) -> frozenset[int]:
     return Committee.of(inst, committee).members
 
 
+def _unrepresented(inst: ScvInstance, won) -> int:
+    """Voters approving none of ``won``, as a bitmask."""
+    masks = inst.approver_masks
+    represented = 0
+    for c in won:
+        represented |= masks[c]
+    return ((1 << inst.num_voters) - 1) & ~represented
+
+
 def _sw_violation(inst: ScvInstance, won: frozenset[int]) -> Optional[Violation]:
     """Best span-wide witness, or None: maximal support, lowest id on ties."""
     n, k = inst.num_voters, inst.committee_size
-    support = [0] * inst.num_candidates
-    for ballot in inst.ballots:
-        if not ballot & won:
-            for c in ballot:
-                support[c] += 1
-    best = max(range(inst.num_candidates), key=lambda c: (support[c], -c), default=None)
-    if best is None or support[best] * k < n:
+    unrep = _unrepresented(inst, won)
+    best, supporters = best_supported(inst, range(inst.num_candidates), unrep)
+    if supporters.bit_count() * k < n:
         return None
-    voters = frozenset(
-        i
-        for i, ballot in enumerate(inst.ballots)
-        if best in ballot and not ballot & won
-    )
-    return Violation(voters, (best,))
+    return Violation(mask_voters(supporters), (best,))
 
 
 def check_sw_jr(inst: ScvInstance, committee) -> AxiomVerdict:
@@ -112,7 +127,7 @@ def check_sw_jr(inst: ScvInstance, committee) -> AxiomVerdict:
 
     Runs the support-count test: the committee fails iff some candidate is
     approved by at least n/k voters none of whom has any approved committee
-    member.  O(n*m).
+    member.  O(m) bitmask operations on n-bit voter masks.
     """
     won = _members(inst, committee)
     witness = _sw_violation(inst, won)
@@ -132,62 +147,63 @@ def check_iw_jr(inst: ScvInstance, committee) -> AxiomVerdict:
     won = _members(inst, committee)
     n = inst.num_voters
     for j, sub in enumerate(inst.subsets):
-        sub_members = frozenset(sub.members)
-        won_j = won & sub_members
-        support = {c: 0 for c in sub.members}
-        for ballot in inst.ballots:
-            if not ballot & won_j:
-                for c in ballot & sub_members:
-                    support[c] += 1
-        best = max(support, key=lambda c: (support[c], -c), default=None)
-        if best is not None and support[best] * sub.quota >= n:
-            voters = frozenset(
-                i
-                for i, ballot in enumerate(inst.ballots)
-                if best in ballot and not ballot & won_j
+        unrep = _unrepresented(inst, won.intersection(sub.members))
+        best, supporters = best_supported(inst, sub.members, unrep)
+        if supporters.bit_count() * sub.quota >= n:
+            return AxiomVerdict(
+                IW_JR, False, Violation(mask_voters(supporters), (best,), subset=j)
             )
-            return AxiomVerdict(IW_JR, False, Violation(voters, (best,), subset=j))
     note = "" if _intra_cohesive_group_exists(inst) else VACUOUS_NOTE
     return AxiomVerdict(IW_JR, True, note=note)
 
 
 def _weak_violating_tuple(
-    inst: ScvInstance, unrepresented: Iterable[int]
+    inst: ScvInstance, pool: int
 ) -> Optional[tuple[tuple[int, ...], frozenset[int]]]:
     """Lexicographically least candidate tuple commonly approved by a large
-    enough group of the given voters, with that group; or None.
+    enough group of the voters in the ``pool`` bitmask, with that group; or
+    None.
 
     Depth-first over subsets in order, candidates in ascending id, pruning a
     branch as soon as the running supporter intersection drops below n/k.
-    Exact, but exponential in the number of subsets in the worst case.
+    Exact, but exponential in the number of subsets in the worst case.  The
+    walk keeps its own stack, so any number of subsets fits.
     """
     n, k = inst.num_voters, inst.committee_size
-    pool = frozenset(unrepresented)
-    if len(pool) * k < n:
+    if pool.bit_count() * k < n:
         return None
-    supporters_by_level: list[list[tuple[int, frozenset[int]]]] = []
+    masks = inst.approver_masks
+    levels: list[list[tuple[int, int]]] = []
     for sub in inst.subsets:
         level = []
         for c in sorted(sub.members):
-            supp = frozenset(i for i in pool if c in inst.ballots[i])
-            if len(supp) * k >= n:
+            supp = masks[c] & pool
+            if supp.bit_count() * k >= n:
                 level.append((c, supp))
         if not level:
             return None
-        supporters_by_level.append(level)
+        levels.append(level)
 
-    def descend(depth: int, chosen: tuple[int, ...], group: frozenset[int]):
-        if depth == len(supporters_by_level):
-            return chosen, group
-        for c, supp in supporters_by_level[depth]:
-            narrowed = group & supp
-            if len(narrowed) * k >= n:
-                found = descend(depth + 1, chosen + (c,), narrowed)
-                if found is not None:
-                    return found
-        return None
-
-    return descend(0, (), pool)
+    # groups[d] is the supporter intersection of the first d choices, and
+    # picks[d] the index in levels[d] tried last
+    groups, picks = [pool], [-1]
+    while picks:
+        d = len(picks) - 1
+        for p in range(picks[d] + 1, len(levels[d])):
+            narrowed = groups[d] & levels[d][p][1]
+            if narrowed.bit_count() * k >= n:
+                break
+        else:
+            picks.pop()
+            groups.pop()
+            continue
+        picks[d] = p
+        if d + 1 == len(levels):
+            chosen = tuple(level[q][0] for level, q in zip(levels, picks))
+            return chosen, frozenset(mask_voters(narrowed))
+        groups.append(narrowed)
+        picks.append(-1)
+    return None
 
 
 def check_weak_sw_jr(inst: ScvInstance, committee) -> AxiomVerdict:
@@ -199,12 +215,12 @@ def check_weak_sw_jr(inst: ScvInstance, committee) -> AxiomVerdict:
     all of its unrepresented common supporters.
     """
     won = _members(inst, committee)
-    unrep = [i for i, ballot in enumerate(inst.ballots) if not ballot & won]
-    found = _weak_violating_tuple(inst, unrep)
+    found = _weak_violating_tuple(inst, _unrepresented(inst, won))
     if found is not None:
         chosen, group = found
         return AxiomVerdict(WEAK_SW_JR, False, Violation(group, chosen))
-    vacuous = _weak_violating_tuple(inst, range(inst.num_voters)) is None
+    everyone = (1 << inst.num_voters) - 1
+    vacuous = _weak_violating_tuple(inst, everyone) is None
     return AxiomVerdict(WEAK_SW_JR, True, note=VACUOUS_NOTE if vacuous else "")
 
 
@@ -225,7 +241,10 @@ def check_jr(
         referenced = frozenset().union(committee, *ballots) if ballots else committee
         num_candidates = max(referenced, default=-1) + 1
     inst = jr_embedding(ballots, k, num_candidates)
-    verdict = check_sw_jr(inst, committee)
+    return _as_jr(check_sw_jr(inst, committee))
+
+
+def _as_jr(verdict: AxiomVerdict) -> AxiomVerdict:
     return AxiomVerdict(JR, verdict.satisfied, verdict.witness, verdict.note)
 
 
@@ -246,21 +265,15 @@ def jr_embedding(
 def _cohesive_group_exists(inst: ScvInstance) -> bool:
     """Is there any candidate approved by >= n/k voters?"""
     n, k = inst.num_voters, inst.committee_size
-    approvals = [0] * inst.num_candidates
-    for ballot in inst.ballots:
-        for c in ballot:
-            approvals[c] += 1
-    return any(a * k >= n for a in approvals)
+    return any(mask.bit_count() * k >= n for mask in inst.approver_masks)
 
 
 def _intra_cohesive_group_exists(inst: ScvInstance) -> bool:
-    n = inst.num_voters
-    approvals = [0] * inst.num_candidates
-    for ballot in inst.ballots:
-        for c in ballot:
-            approvals[c] += 1
+    n, masks = inst.num_voters, inst.approver_masks
     return any(
-        approvals[c] * sub.quota >= n for sub in inst.subsets for c in sub.members
+        masks[c].bit_count() * sub.quota >= n
+        for sub in inst.subsets
+        for c in sub.members
     )
 
 
@@ -337,8 +350,6 @@ def check_axiom(inst: ScvInstance, committee, axiom: str) -> AxiomVerdict:
     if axiom == WEAK_SW_JR:
         return check_weak_sw_jr(inst, committee)
     if axiom == JR:
-        won = _members(inst, committee)
-        return check_jr(
-            inst.ballots, won, inst.committee_size, inst.num_candidates
-        )
+        # sw-jr reads the partition only through k, so it is jr on one pool
+        return _as_jr(check_sw_jr(inst, committee))
     raise ValueError(f"unknown axiom {axiom!r}")

@@ -155,7 +155,10 @@ def main() -> None:
 
 def _read(path: str) -> str:
     with open(path, encoding="utf-8") as handle:
-        return handle.read()
+        try:
+            return handle.read()
+        except UnicodeDecodeError as exc:
+            raise ParseError(f"{path} is not UTF-8 text: {exc.reason}") from exc
 
 
 def _write(path: str, text: str):

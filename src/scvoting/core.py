@@ -14,7 +14,7 @@ import random
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations, product
-from typing import Iterable, Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
     BadBallot,
@@ -98,6 +98,29 @@ class ScvInstance:
                 if 0 <= c < self.num_candidates:
                     idx[c] = j
         return tuple(idx)
+
+    @cached_property
+    def approver_masks(self) -> tuple[int, ...]:
+        """Approvers of every candidate id as a voter bitmask.
+
+        Bit i of ``approver_masks[c]`` is set when voter i approves c.  Bits
+        are set on ints of at most 1,024 bits, one block of voters at a time,
+        and each block is then shifted into place: setting a bit on an int
+        that spans all voters would copy the whole int.
+        """
+        m = self.num_candidates
+        masks = [0] * m
+        for base in range(0, self.num_voters, 1024):
+            block = [0] * m
+            bit = 1
+            for ballot in self.ballots[base : base + 1024]:
+                for c in ballot:
+                    block[c] |= bit
+                bit <<= 1
+            for c, b in enumerate(block):
+                if b:
+                    masks[c] |= b << base
+        return tuple(masks)
 
     @cached_property
     def _id_by_name(self) -> dict[str, int]:
@@ -297,6 +320,31 @@ def iter_feasible_committees(inst: ScvInstance) -> Iterator[Committee]:
     ]
     for choice in product(*per_subset):
         yield Committee(frozenset(c for part in choice for c in part))
+
+
+# -- voter bitmasks -------------------------------------------------------------
+
+
+def mask_voters(mask: int) -> list[int]:
+    """Ids of the voters whose bits are set in ``mask``, ascending."""
+    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+
+
+def best_supported(
+    inst: ScvInstance, candidates: Iterable[int], voters: int
+) -> Optional[tuple[int, int]]:
+    """The support count: the candidate approved by the most voters of the
+    ``voters`` bitmask, lowest id on ties, with those supporters as a mask;
+    None when no candidate is offered."""
+    masks = inst.approver_masks
+    best, best_count = None, -1
+    for c in sorted(candidates):
+        count = (masks[c] & voters).bit_count()
+        if count > best_count:
+            best, best_count = c, count
+    if best is None:
+        return None
+    return best, masks[best] & voters
 
 
 # -- JSON instance documents ------------------------------------------------

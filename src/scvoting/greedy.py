@@ -14,7 +14,11 @@ span-wide axiom (``weak-sw-jr``):
    of its subset.
 
 Ties always break toward the lowest candidate id, so identical instances
-yield identical committees and traces.
+yield identical committees and traces.  Supports are counted on voter
+bitmasks: the voters represented by the committee, and by each subset's
+members, are kept as masks that every pick ORs its approver mask into, and
+:func:`~scvoting.core.best_supported` scores the candidates against their
+complement.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Committee, ScvInstance
+from .core import Committee, ScvInstance, best_supported, mask_voters
 from .errors import EmptySequence
 
 PHASE_INTRA = "intra"
@@ -70,86 +74,62 @@ def solve_greedy(inst: ScvInstance) -> tuple[Committee, GreedyTrace]:
     """
     n = inst.num_voters
     k = inst.committee_size
-    ballots = inst.ballots
+    masks = inst.approver_masks
+    everyone = (1 << n) - 1
     steps: list[GreedyStep] = []
     won: set[int] = set()
     won_by_subset: list[set[int]] = [set() for _ in inst.subsets]
+    # voters approving some member: of the whole committee, and per subset
+    represented = 0
+    represented_in: list[int] = [0] * len(inst.subsets)
+
+    def elect(phase: str, candidate: int, j: int, supporters: int):
+        nonlocal represented
+        won.add(candidate)
+        won_by_subset[j].add(candidate)
+        represented |= masks[candidate]
+        represented_in[j] |= masks[candidate]
+        steps.append(
+            GreedyStep(phase, candidate, j, supporters.bit_count(), mask_voters(supporters))
+        )
 
     # intra: per-subset representation at threshold n / k_j
     for j, sub in enumerate(inst.subsets):
         while len(won_by_subset[j]) < sub.quota:
-            unrep = [i for i in range(n) if not ballots[i] & won_by_subset[j]]
-            pick = _best_supported(
-                (c for c in sub.members if c not in won), unrep, ballots
+            pick = best_supported(
+                inst, (c for c in sub.members if c not in won), everyone & ~represented_in[j]
             )
             if pick is None:
                 break
             candidate, supporters = pick
-            if len(supporters) * sub.quota < n:
+            if supporters.bit_count() * sub.quota < n:
                 break
-            won.add(candidate)
-            won_by_subset[j].add(candidate)
-            steps.append(
-                GreedyStep(PHASE_INTRA, candidate, j, len(supporters), sorted(supporters))
-            )
+            elect(PHASE_INTRA, candidate, j, supporters)
 
     # span: global representation at threshold n / k
     while True:
-        open_subsets = [
-            j for j, sub in enumerate(inst.subsets)
-            if len(won_by_subset[j]) < sub.quota
-        ]
-        if not open_subsets:
-            break
-        unrep = [i for i in range(n) if not ballots[i] & won]
-        eligible = (
+        eligible = [
             c
-            for j in open_subsets
-            for c in inst.subsets[j].members
+            for j, sub in enumerate(inst.subsets)
+            if len(won_by_subset[j]) < sub.quota
+            for c in sub.members
             if c not in won
-        )
-        pick = _best_supported(eligible, unrep, ballots)
+        ]
+        pick = best_supported(inst, eligible, everyone & ~represented)
         if pick is None:
             break
         candidate, supporters = pick
-        if len(supporters) * k < n:
+        if supporters.bit_count() * k < n:
             break
-        j = inst.subset_index[candidate]
-        won.add(candidate)
-        won_by_subset[j].add(candidate)
-        steps.append(
-            GreedyStep(PHASE_SPAN, candidate, j, len(supporters), sorted(supporters))
-        )
+        elect(PHASE_SPAN, candidate, inst.subset_index[candidate], supporters)
 
     # fill: lowest-id padding, recorded with its (sub-threshold) support
     for j, sub in enumerate(inst.subsets):
         while len(won_by_subset[j]) < sub.quota:
             candidate = min(c for c in sub.members if c not in won)
-            supporters = [
-                i for i in range(n)
-                if candidate in ballots[i] and not ballots[i] & won
-            ]
-            won.add(candidate)
-            won_by_subset[j].add(candidate)
-            steps.append(
-                GreedyStep(PHASE_FILL, candidate, j, len(supporters), supporters)
-            )
+            elect(PHASE_FILL, candidate, j, masks[candidate] & ~represented)
 
     return Committee(frozenset(won)), GreedyTrace(tuple(steps))
-
-
-def _best_supported(candidates, voters, ballots):
-    """Candidate with the most approvals among ``voters`` (lowest id on ties),
-    together with its supporter list; None if no candidate is offered."""
-    best = None
-    best_supporters: list[int] = []
-    for c in sorted(candidates):
-        supporters = [i for i in voters if c in ballots[i]]
-        if best is None or len(supporters) > len(best_supporters):
-            best, best_supporters = c, supporters
-    if best is None:
-        return None
-    return best, best_supporters
 
 
 def lemma1_gap(

@@ -3,10 +3,11 @@
 Deciding whether any feasible committee satisfies the span-wide axiom is
 NP-complete, so :func:`sw_jr_exists` is an exact exponential backtracking
 search: it walks candidate ids in increasing order, growing a committee one
-member at a time.  Its state is the list of chosen members, the open slots
-of each subset, and the unrepresented voters with a non-empty ballot as a
-Python-int bitmask: bit i of ``approvers[c]`` is set when voter i approves
-c, and choosing c maps the mask ``unrep`` to ``unrep & ~approvers[c]``.
+member at a time, on an explicit stack so that committees of any size fit.
+Its state is the list of chosen members, the open slots of each subset, and
+the unrepresented voters with a non-empty ballot as a Python-int bitmask:
+choosing c maps the mask ``unrep`` to ``unrep & ~approvers[c]``, where
+``approvers`` is ``inst.approver_masks`` (bit i set when voter i approves c).
 
 Two exact rules cut a branch before it is walked:
 
@@ -45,7 +46,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .core import (
     Committee,
@@ -97,10 +98,7 @@ def sw_jr_exists(
     t = -(-inst.num_voters // inst.committee_size)
     subset_of = inst.subset_index
     members = [tuple(sorted(sub.members)) for sub in inst.subsets]
-    approvers = [0] * m
-    for i, ballot in enumerate(inst.ballots):
-        for c in ballot:
-            approvers[c] |= 1 << i
+    approvers = inst.approver_masks
     voiced = 0
     for mask in approvers:
         voiced |= mask
@@ -129,40 +127,54 @@ def sw_jr_exists(
                 return True
         return False
 
-    def descend(
-        pos: int, chosen: list[int], need: list[int], unrep: int
-    ) -> Optional[Committee]:
+    # one entry per open node on the path: an iterator over the candidate
+    # ids left to try below it, its unrepresented voters, and the member
+    # picked there (-1 before the first pick), so ``chosen`` holds the
+    # members of the path
+    need = list(inst.quotas)
+    walks: list[Iterator[int]] = []
+    unreps: list[int] = []
+    chosen: list[int] = []
+    # voters with an empty ballot never count against the axiom
+    pos, unrep = 0, voiced
+    while True:
         stats.nodes += 1
         if not any(need):
             stats.leaves += 1
             committee = Committee(frozenset(chosen))
             if check_sw_jr(inst, committee).satisfied:
                 return committee
-            return None
-        if any(
+        elif any(
             left > len(ids) - bisect_left(ids, pos)
             for left, ids in zip(need, members)
         ):
             stats.pruned_quota += 1
-            return None
-        if hopeless(pos, need, unrep):
+        elif hopeless(pos, need, unrep):
             stats.pruned_capacity += 1
-            return None
-        for c in range(pos, m):
-            j = subset_of[c]
-            if need[j] == 0:
+        else:
+            walks.append(iter(range(pos, m)))
+            unreps.append(unrep)
+            chosen.append(-1)
+        # move to the next child of the deepest open node
+        while walks:
+            c = chosen[-1]
+            if c >= 0:
+                need[subset_of[c]] += 1
+            for c in walks[-1]:
+                j = subset_of[c]
+                if need[j]:
+                    break
+            else:
+                walks.pop()
+                unreps.pop()
+                chosen.pop()
                 continue
             need[j] -= 1
-            chosen.append(c)
-            found = descend(c + 1, chosen, need, unrep & ~approvers[c])
-            chosen.pop()
-            need[j] += 1
-            if found is not None:
-                return found
-        return None
-
-    # voters with an empty ballot never count against the axiom
-    return descend(0, [], list(inst.quotas), voiced)
+            chosen[-1] = c
+            pos, unrep = c + 1, unreps[-1] & ~approvers[c]
+            break
+        else:
+            return None
 
 
 def encode_set_cover(sc: SetCoverInstance) -> ScvInstance:

@@ -185,6 +185,18 @@ def test_fast_checkers_agree_with_oracle():
             assert_witness_sound(inst, w, slow)
 
 
+def test_weak_check_walks_thousands_of_subsets():
+    # the vacuity search finds voter 0's tuple 1,200 subsets deep
+    inst = sv.ScvInstance.from_names(
+        2,
+        [(f"S{j}", [f"x{j}"], 1) for j in range(1200)],
+        [[f"x{j}" for j in range(1200)], []],
+    )
+    verdict = sv.check_weak_sw_jr(inst, inst.committee(range(1200)))
+    assert verdict.satisfied
+    assert verdict.note == ""
+
+
 def test_sw_implies_weak_on_samples():
     rng = random.Random(8)
     for _ in range(120):

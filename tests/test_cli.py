@@ -48,6 +48,23 @@ def test_validate_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_undecodable_bytes_are_invalid_input(tmp_path, capsys):
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    assert run(["--json", "validate", str(path)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["valid"] is False
+    assert "not UTF-8" in payload["problems"][0]
+    for argv in (
+        ["check", "--axiom", "all", "--committee", "a1,b1", str(path)],
+        ["encode-setcover", str(path)],
+    ):
+        assert run(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:") and "not UTF-8" in captured.err
+        assert captured.out == ""
+
+
 def test_usage_error_is_exit_one(capsys):
     assert run(["check", "--axiom", "nope", "--committee", "x", "f.json"]) == 1
     assert run(["frobnicate"]) == 1

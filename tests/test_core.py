@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import scvoting as sv
 from scvoting import fixtures
 from conftest import random_instance
+from scvoting.core import mask_voters
 
 
 # -- validation ----------------------------------------------------------------
@@ -151,6 +152,19 @@ def test_committee_count_matches_enumeration():
     assert len(committees) == expected
     for w in committees:
         sv.Committee.of(inst, w)  # all feasible
+
+
+def test_approver_masks_mirror_the_ballots():
+    rng = random.Random(4)
+    for voters in (1, 7, 8, 9, 64, 65, 200):
+        inst = sv.generate_instance(sv.UniformModel(voters, (3, 4), (1, 2), rng.random()), voters)
+        masks = inst.approver_masks
+        assert len(masks) == inst.num_candidates
+        for c, mask in enumerate(masks):
+            want = [i for i, ballot in enumerate(inst.ballots) if c in ballot]
+            assert mask == sum(1 << i for i in want)
+            assert mask_voters(mask) == want
+    assert mask_voters(0) == []
 
 
 def test_infeasible_committee_rejected():

@@ -185,6 +185,18 @@ def test_a_dead_ballot_ends_its_branch_at_once():
     assert stats == sv.SearchStats(nodes=5, leaves=1, pruned_capacity=1)
 
 
+def test_a_committee_with_thousands_of_seats_is_found():
+    # one feasible committee, 1,200 levels deep: one node per seat plus the root
+    inst = sv.ScvInstance.from_names(
+        2, [("C", [f"x{i}" for i in range(1200)], 1200)], [["x0"], []]
+    )
+    stats = sv.SearchStats()
+    found = sv.sw_jr_exists(inst, stats=stats)
+    assert found is not None
+    assert found.sorted_members == tuple(range(1200))
+    assert stats == sv.SearchStats(nodes=1201, leaves=1)
+
+
 @pytest.mark.parametrize("build", FIXTURES)
 def test_search_stats_are_deterministic_and_change_nothing(build):
     inst = build()
