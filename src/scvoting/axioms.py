@@ -241,10 +241,7 @@ def check_jr(
         referenced = frozenset().union(committee, *ballots) if ballots else committee
         num_candidates = max(referenced, default=-1) + 1
     inst = jr_embedding(ballots, k, num_candidates)
-    return _as_jr(check_sw_jr(inst, committee))
-
-
-def _as_jr(verdict: AxiomVerdict) -> AxiomVerdict:
+    verdict = check_sw_jr(inst, committee)
     return AxiomVerdict(JR, verdict.satisfied, verdict.witness, verdict.note)
 
 
@@ -350,6 +347,8 @@ def check_axiom(inst: ScvInstance, committee, axiom: str) -> AxiomVerdict:
     if axiom == WEAK_SW_JR:
         return check_weak_sw_jr(inst, committee)
     if axiom == JR:
-        # sw-jr reads the partition only through k, so it is jr on one pool
-        return _as_jr(check_sw_jr(inst, committee))
+        won = _members(inst, committee)
+        return check_jr(
+            inst.ballots, won, inst.committee_size, inst.num_candidates
+        )
     raise ValueError(f"unknown axiom {axiom!r}")

@@ -240,10 +240,12 @@ def validate_instance(raw) -> ScvInstance:
                 f"needs 1 <= quota <= {sub.size}"
             )
 
-    for i, b in enumerate(inst.ballots):
-        bad = sorted(c for c in b if not 0 <= c < m)
-        if bad:
-            ballot.append(f"ballot {i} references unknown candidate ids {bad}")
+    # test the distinct approved ids first; walk the ballots only to name them
+    if any(not 0 <= c < m for c in frozenset().union(*inst.ballots)):
+        for i, b in enumerate(inst.ballots):
+            bad = sorted(c for c in b if not 0 <= c < m)
+            if bad:
+                ballot.append(f"ballot {i} references unknown candidate ids {bad}")
 
     for kind, problems in (
         (InvalidInstance, structure),

@@ -79,6 +79,21 @@ def test_unknown_ballot_id_rejected():
         sv.validate_instance(inst)
 
 
+def test_every_bad_ballot_is_named_with_its_ids():
+    inst = sv.ScvInstance(
+        num_voters=4,
+        candidate_names=("x", "y"),
+        subsets=(sv.CandidateSubset("C1", (0, 1), 1),),
+        ballots=(frozenset({0}), frozenset({7, 1, -2}), frozenset(), frozenset({2})),
+    )
+    with pytest.raises(sv.BadBallot) as excinfo:
+        sv.validate_instance(inst)
+    assert excinfo.value.problems == [
+        "ballot 1 references unknown candidate ids [-2, 7]",
+        "ballot 3 references unknown candidate ids [2]",
+    ]
+
+
 def test_every_violation_is_reported_at_once():
     inst = sv.ScvInstance(
         num_voters=1,
