@@ -20,11 +20,12 @@ checkers.
 
 The fast checkers count support on voter bitmasks
 (:attr:`ScvInstance.approver_masks`, cached per instance): the unrepresented
-voters are everyone outside the union of the members' approver masks, and a
-candidate's support is the popcount of its mask within them
-(:func:`~scvoting.core.best_supported`).  The weak-sw-jr search intersects
-those masks.  The oracle keeps to plain frozensets, so it shares none of
-this.
+voters are everyone outside the union of the members' approver masks, and
+:func:`~scvoting.core.best_supported` returns the candidate most of them
+approve, only when those supporters reach the size threshold.  The weak-sw-jr
+search intersects the same masks.  A pass is vacuous when the same violation
+finder finds nothing with no voter represented.  The oracle keeps to plain
+frozensets, so it shares none of this.
 """
 
 from __future__ import annotations
@@ -99,10 +100,6 @@ def verdict_to_json(inst: ScvInstance, verdict: AxiomVerdict) -> dict:
     }
 
 
-def _members(inst: ScvInstance, committee) -> frozenset[int]:
-    return Committee.of(inst, committee).members
-
-
 def _unrepresented(inst: ScvInstance, won) -> int:
     """Voters approving none of ``won``, as a bitmask."""
     masks = inst.approver_masks
@@ -112,14 +109,26 @@ def _unrepresented(inst: ScvInstance, won) -> int:
     return ((1 << inst.num_voters) - 1) & ~represented
 
 
-def _sw_violation(inst: ScvInstance, won: frozenset[int]) -> Optional[Violation]:
-    """Best span-wide witness, or None: maximal support, lowest id on ties."""
-    n, k = inst.num_voters, inst.committee_size
+def _verdict(axiom: str, find, inst: ScvInstance, committee) -> AxiomVerdict:
+    """Verdict from ``find(inst, won)``: (supporter mask, evidence, subset or
+    None) for a violation, else None.  A pass is vacuous when ``find`` finds
+    nothing with no voter represented."""
+    found = find(inst, Committee.of(inst, committee).members)
+    if found is None:
+        vacuous = find(inst, frozenset()) is None
+        return AxiomVerdict(axiom, True, note=VACUOUS_NOTE if vacuous else "")
+    supporters, candidates, subset = found
+    return AxiomVerdict(axiom, False, Violation(mask_voters(supporters), candidates, subset))
+
+
+def _sw_violation(inst: ScvInstance, won: frozenset[int]) -> Optional[tuple]:
+    """Best span-wide witness: maximal support, lowest id on ties."""
     unrep = _unrepresented(inst, won)
-    best, supporters = best_supported(inst, range(inst.num_candidates), unrep)
-    if supporters.bit_count() * k < n:
+    pick = best_supported(inst, range(inst.num_candidates), unrep, inst.committee_size)
+    if pick is None:
         return None
-    return Violation(mask_voters(supporters), (best,))
+    best, supporters = pick
+    return supporters, (best,), None
 
 
 def check_sw_jr(inst: ScvInstance, committee) -> AxiomVerdict:
@@ -129,12 +138,18 @@ def check_sw_jr(inst: ScvInstance, committee) -> AxiomVerdict:
     approved by at least n/k voters none of whom has any approved committee
     member.  O(m) bitmask operations on n-bit voter masks.
     """
-    won = _members(inst, committee)
-    witness = _sw_violation(inst, won)
-    if witness is not None:
-        return AxiomVerdict(SW_JR, False, witness)
-    note = "" if _cohesive_group_exists(inst) else VACUOUS_NOTE
-    return AxiomVerdict(SW_JR, True, note=note)
+    return _verdict(SW_JR, _sw_violation, inst, committee)
+
+
+def _iw_violation(inst: ScvInstance, won: frozenset[int]) -> Optional[tuple]:
+    """First failing subset (ascending), then its maximal-support candidate."""
+    for j, sub in enumerate(inst.subsets):
+        unrep = _unrepresented(inst, won.intersection(sub.members))
+        pick = best_supported(inst, sub.members, unrep, sub.quota)
+        if pick is not None:
+            best, supporters = pick
+            return supporters, (best,), j
+    return None
 
 
 def check_iw_jr(inst: ScvInstance, committee) -> AxiomVerdict:
@@ -144,25 +159,13 @@ def check_iw_jr(inst: ScvInstance, committee) -> AxiomVerdict:
     support-count test at threshold n/k_j.  The witness reports the first
     failing subset (ascending), then the maximal-support candidate.
     """
-    won = _members(inst, committee)
-    n = inst.num_voters
-    for j, sub in enumerate(inst.subsets):
-        unrep = _unrepresented(inst, won.intersection(sub.members))
-        best, supporters = best_supported(inst, sub.members, unrep)
-        if supporters.bit_count() * sub.quota >= n:
-            return AxiomVerdict(
-                IW_JR, False, Violation(mask_voters(supporters), (best,), subset=j)
-            )
-    note = "" if _intra_cohesive_group_exists(inst) else VACUOUS_NOTE
-    return AxiomVerdict(IW_JR, True, note=note)
+    return _verdict(IW_JR, _iw_violation, inst, committee)
 
 
-def _weak_violating_tuple(
-    inst: ScvInstance, pool: int
-) -> Optional[tuple[tuple[int, ...], frozenset[int]]]:
+def _weak_violation(inst: ScvInstance, won: frozenset[int]) -> Optional[tuple]:
     """Lexicographically least candidate tuple commonly approved by a large
-    enough group of the voters in the ``pool`` bitmask, with that group; or
-    None.
+    enough group of the voters unrepresented by ``won``, with all of those
+    common supporters.
 
     Depth-first over subsets in order, candidates in ascending id, pruning a
     branch as soon as the running supporter intersection drops below n/k.
@@ -170,8 +173,7 @@ def _weak_violating_tuple(
     walk keeps its own stack, so any number of subsets fits.
     """
     n, k = inst.num_voters, inst.committee_size
-    if pool.bit_count() * k < n:
-        return None
+    pool = _unrepresented(inst, won)
     masks = inst.approver_masks
     levels: list[list[tuple[int, int]]] = []
     for sub in inst.subsets:
@@ -200,7 +202,7 @@ def _weak_violating_tuple(
         picks[d] = p
         if d + 1 == len(levels):
             chosen = tuple(level[q][0] for level, q in zip(levels, picks))
-            return chosen, frozenset(mask_voters(narrowed))
+            return narrowed, chosen, None
         groups.append(narrowed)
         picks.append(-1)
     return None
@@ -214,14 +216,7 @@ def check_weak_sw_jr(inst: ScvInstance, committee) -> AxiomVerdict:
     reported witness is the lexicographically least such tuple together with
     all of its unrepresented common supporters.
     """
-    won = _members(inst, committee)
-    found = _weak_violating_tuple(inst, _unrepresented(inst, won))
-    if found is not None:
-        chosen, group = found
-        return AxiomVerdict(WEAK_SW_JR, False, Violation(group, chosen))
-    everyone = (1 << inst.num_voters) - 1
-    vacuous = _weak_violating_tuple(inst, everyone) is None
-    return AxiomVerdict(WEAK_SW_JR, True, note=VACUOUS_NOTE if vacuous else "")
+    return _verdict(WEAK_SW_JR, _weak_violation, inst, committee)
 
 
 def check_jr(
@@ -259,21 +254,6 @@ def jr_embedding(
     return validate_instance(inst)
 
 
-def _cohesive_group_exists(inst: ScvInstance) -> bool:
-    """Is there any candidate approved by >= n/k voters?"""
-    n, k = inst.num_voters, inst.committee_size
-    return any(mask.bit_count() * k >= n for mask in inst.approver_masks)
-
-
-def _intra_cohesive_group_exists(inst: ScvInstance) -> bool:
-    n, masks = inst.num_voters, inst.approver_masks
-    return any(
-        masks[c].bit_count() * sub.quota >= n
-        for sub in inst.subsets
-        for c in sub.members
-    )
-
-
 def brute_force_axiom(
     inst: ScvInstance,
     committee,
@@ -292,7 +272,7 @@ def brute_force_axiom(
         raise TooLarge(
             f"{inst.num_voters} voters exceeds the enumeration cap of {cap}"
         )
-    won = _members(inst, committee)
+    won = Committee.of(inst, committee).members
     n, k = inst.num_voters, inst.committee_size
     ballots = inst.ballots
     subset_members = [frozenset(sub.members) for sub in inst.subsets]
@@ -347,8 +327,6 @@ def check_axiom(inst: ScvInstance, committee, axiom: str) -> AxiomVerdict:
     if axiom == WEAK_SW_JR:
         return check_weak_sw_jr(inst, committee)
     if axiom == JR:
-        won = _members(inst, committee)
-        return check_jr(
-            inst.ballots, won, inst.committee_size, inst.num_candidates
-        )
+        won = Committee.of(inst, committee).members
+        return check_jr(inst.ballots, won, inst.committee_size, inst.num_candidates)
     raise ValueError(f"unknown axiom {axiom!r}")

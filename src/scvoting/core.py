@@ -333,18 +333,20 @@ def mask_voters(mask: int) -> list[int]:
 
 
 def best_supported(
-    inst: ScvInstance, candidates: Iterable[int], voters: int
+    inst: ScvInstance, candidates: Iterable[int], voters: int, quota: int
 ) -> Optional[tuple[int, int]]:
-    """The support count: the candidate approved by the most voters of the
-    ``voters`` bitmask, lowest id on ties, with those supporters as a mask;
-    None when no candidate is offered."""
+    """The support count and its size test: the candidate approved by the
+    most voters of the ``voters`` bitmask, lowest id on ties, with those
+    supporters as a mask, when they number at least n/``quota`` (compared by
+    cross-multiplication); None when they are fewer or no candidate is
+    offered."""
     masks = inst.approver_masks
     best, best_count = None, -1
     for c in sorted(candidates):
         count = (masks[c] & voters).bit_count()
         if count > best_count:
             best, best_count = c, count
-    if best is None:
+    if best is None or best_count * quota < inst.num_voters:
         return None
     return best, masks[best] & voters
 
@@ -397,13 +399,19 @@ def instance_from_document(doc: Mapping) -> ScvInstance:
         raise SemanticError(str(exc), problems=exc.problems) from exc
 
 
-def parse_instance(text: str) -> ScvInstance:
-    """Parse the JSON instance format, validating as :func:`validate_instance`."""
+def _load_json(text: str):
+    """``json.loads``, raising :class:`ParseError` on every text it rejects."""
     try:
-        doc = json.loads(text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
-    return instance_from_document(doc)
+    except (RecursionError, ValueError) as exc:  # too deeply nested; too many digits
+        raise ParseError(f"invalid JSON: {exc}") from exc
+
+
+def parse_instance(text: str) -> ScvInstance:
+    """Parse the JSON instance format, validating as :func:`validate_instance`."""
+    return instance_from_document(_load_json(text))
 
 
 def instance_to_document(inst: ScvInstance) -> dict:
@@ -498,11 +506,7 @@ def set_cover_from_document(doc: Mapping) -> SetCoverInstance:
 
 
 def parse_set_cover(text: str) -> SetCoverInstance:
-    try:
-        doc = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
-    return set_cover_from_document(doc)
+    return set_cover_from_document(_load_json(text))
 
 
 def set_cover_to_document(sc: SetCoverInstance) -> dict:

@@ -18,7 +18,8 @@ yield identical committees and traces.  Supports are counted on voter
 bitmasks: the voters represented by the committee, and by each subset's
 members, are kept as masks that every pick ORs its approver mask into, and
 :func:`~scvoting.core.best_supported` scores the candidates against their
-complement.
+complement.  That kernel also applies the phase's threshold, so a phase
+ends when it returns no pick.
 """
 
 from __future__ import annotations
@@ -72,21 +73,19 @@ def solve_greedy(inst: ScvInstance) -> tuple[Committee, GreedyTrace]:
     output is feasible and passes both ``check_iw_jr`` and
     ``check_weak_sw_jr``.
     """
-    n = inst.num_voters
-    k = inst.committee_size
     masks = inst.approver_masks
-    everyone = (1 << n) - 1
+    everyone = (1 << inst.num_voters) - 1
     steps: list[GreedyStep] = []
     won: set[int] = set()
-    won_by_subset: list[set[int]] = [set() for _ in inst.subsets]
+    need = list(inst.quotas)  # open slots per subset
     # voters approving some member: of the whole committee, and per subset
     represented = 0
     represented_in: list[int] = [0] * len(inst.subsets)
 
-    def elect(phase: str, candidate: int, j: int, supporters: int):
+    def elect(phase: str, j: int, candidate: int, supporters: int):
         nonlocal represented
         won.add(candidate)
-        won_by_subset[j].add(candidate)
+        need[j] -= 1
         represented |= masks[candidate]
         represented_in[j] |= masks[candidate]
         steps.append(
@@ -95,39 +94,32 @@ def solve_greedy(inst: ScvInstance) -> tuple[Committee, GreedyTrace]:
 
     # intra: per-subset representation at threshold n / k_j
     for j, sub in enumerate(inst.subsets):
-        while len(won_by_subset[j]) < sub.quota:
-            pick = best_supported(
-                inst, (c for c in sub.members if c not in won), everyone & ~represented_in[j]
-            )
+        while need[j]:
+            offered = (c for c in sub.members if c not in won)
+            pick = best_supported(inst, offered, everyone & ~represented_in[j], sub.quota)
             if pick is None:
                 break
-            candidate, supporters = pick
-            if supporters.bit_count() * sub.quota < n:
-                break
-            elect(PHASE_INTRA, candidate, j, supporters)
+            elect(PHASE_INTRA, j, *pick)
 
     # span: global representation at threshold n / k
     while True:
         eligible = [
             c
             for j, sub in enumerate(inst.subsets)
-            if len(won_by_subset[j]) < sub.quota
+            if need[j]
             for c in sub.members
             if c not in won
         ]
-        pick = best_supported(inst, eligible, everyone & ~represented)
+        pick = best_supported(inst, eligible, everyone & ~represented, inst.committee_size)
         if pick is None:
             break
-        candidate, supporters = pick
-        if supporters.bit_count() * k < n:
-            break
-        elect(PHASE_SPAN, candidate, inst.subset_index[candidate], supporters)
+        elect(PHASE_SPAN, inst.subset_index[pick[0]], *pick)
 
     # fill: lowest-id padding, recorded with its (sub-threshold) support
     for j, sub in enumerate(inst.subsets):
-        while len(won_by_subset[j]) < sub.quota:
+        while need[j]:
             candidate = min(c for c in sub.members if c not in won)
-            elect(PHASE_FILL, candidate, j, masks[candidate] & ~represented)
+            elect(PHASE_FILL, j, candidate, masks[candidate] & ~represented)
 
     return Committee(frozenset(won)), GreedyTrace(tuple(steps))
 

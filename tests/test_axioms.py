@@ -82,6 +82,40 @@ def test_tied_support_breaks_to_lowest_id():
     assert verdict.witness.candidates == (inst.candidate_id("x"),)
 
 
+# Quotas (2, 2), so k = 4 and k_A = 2.  The first s voters approve only a3 and
+# b3, the rest only a1 and b1; the committee is a1, a2, b1, b2.  Each pair of
+# rows puts the group of s exactly at a threshold, then one voter short of it.
+# Columns: n, s, whether jr / sw-jr / weak-sw-jr hold, whether iw-jr holds,
+# and the greedy phase that elects a3 (None when fill passes it by).
+THRESHOLD_BOUNDARY = [
+    (8, 2, False, True, "span"),  # s*k == n
+    (9, 2, True, True, None),  # s*k == n - 1
+    (8, 4, False, False, "intra"),  # s*k_A == n
+    (9, 4, False, True, "span"),  # s*k_A == n - 1
+]
+
+
+@pytest.mark.parametrize("n, s, span_wide, per_subset, a3_phase", THRESHOLD_BOUNDARY)
+def test_size_threshold_is_exact_at_the_boundary(n, s, span_wide, per_subset, a3_phase):
+    inst = sv.ScvInstance.from_names(
+        n,
+        [("A", ["a1", "a2", "a3"], 2), ("B", ["b1", "b2", "b3"], 2)],
+        [["a3", "b3"]] * s + [["a1", "b1"]] * (n - s),
+    )
+    w = inst.committee([inst.candidate_id(x) for x in ("a1", "a2", "b1", "b2")])
+    want = {sv.JR: span_wide, sv.SW_JR: span_wide, sv.WEAK_SW_JR: span_wide,
+            sv.IW_JR: per_subset}
+    for axiom, satisfied in want.items():
+        verdict = sv.check_axiom(inst, w, axiom)
+        assert verdict.satisfied is satisfied, axiom
+        assert sv.brute_force_axiom(inst, w, axiom).satisfied is satisfied, axiom
+        if not satisfied:
+            assert verdict.witness.voters == frozenset(range(s)), axiom
+    _, trace = sv.solve_greedy(inst)
+    phases = {inst.candidate_name(step.candidate): step.phase for step in trace.steps}
+    assert phases.get("a3") == a3_phase
+
+
 # -- per-subset checks --------------------------------------------------------------
 
 

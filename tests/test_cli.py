@@ -48,6 +48,22 @@ def test_validate_missing_file(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000 + "]" * 100_000, '{"voters": ' + "7" * 5001 + "}"],
+    ids=["nested-100000-deep", "integer-of-5001-digits"],
+)
+def test_json_past_the_decoder_limits_is_invalid_input(tmp_path, capsys, text):
+    path = tmp_path / "huge.json"
+    path.write_text(text)
+    assert run(["--json", "validate", str(path)]) == 2
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["valid"] is False
+    assert payload["problems"][0].startswith("invalid JSON")
+    assert run(["encode-setcover", str(path)]) == 2
+    assert "invalid JSON" in capsys.readouterr().err
+
+
 def test_undecodable_bytes_are_invalid_input(tmp_path, capsys):
     path = tmp_path / "utf16.json"
     path.write_bytes(b"\xff\xfe{\x00}\x00")

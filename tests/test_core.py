@@ -259,6 +259,19 @@ def test_broken_json_reports_position():
     assert excinfo.value.column is not None
 
 
+@pytest.mark.parametrize(
+    "text",
+    ["[" * 100_000 + "]" * 100_000, "[" + "7" * 5001 + "]"],
+    ids=["nested-100000-deep", "integer-of-5001-digits"],
+)
+@pytest.mark.parametrize(
+    "parse", [sv.parse_instance, sv.parse_set_cover], ids=["instance", "set-cover"]
+)
+def test_json_past_the_decoder_limits_is_a_parse_error(parse, text):
+    with pytest.raises(sv.ParseError, match="invalid JSON"):
+        parse(text)
+
+
 names = st.text(alphabet="abcxyz'_0123456789", min_size=1, max_size=4)
 
 
