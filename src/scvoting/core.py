@@ -11,9 +11,10 @@ from __future__ import annotations
 import json
 import math
 import random
+import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product
+from itertools import combinations, product, repeat
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -29,8 +30,11 @@ from .errors import (
 )
 
 
-def _as_frozen_ballots(ballots) -> tuple[frozenset[int], ...]:
-    return tuple(frozenset(b) for b in ballots)
+def _id_list(ids: list) -> str:
+    """``ids`` for a message: all of them, or the first 10 and a count."""
+    if len(ids) <= 10:
+        return str(ids)
+    return f"{ids[:10]} and {len(ids) - 10} more ({len(ids)} in all)"
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,7 @@ class ScvInstance:
     def __post_init__(self):
         object.__setattr__(self, "candidate_names", tuple(self.candidate_names))
         object.__setattr__(self, "subsets", tuple(self.subsets))
-        object.__setattr__(self, "ballots", _as_frozen_ballots(self.ballots))
+        object.__setattr__(self, "ballots", tuple(map(frozenset, self.ballots)))
 
     # -- derived quantities -------------------------------------------------
 
@@ -177,7 +181,7 @@ class ScvInstance:
         resolved = []
         for i, ballot in enumerate(ballots):
             try:
-                resolved.append(frozenset(id_of[cand] for cand in ballot))
+                resolved.append(frozenset(map(id_of.__getitem__, ballot)))
             except KeyError as exc:
                 raise SemanticError(
                     f"ballot {i} approves undeclared candidate {exc.args[0]!r}"
@@ -231,7 +235,7 @@ def validate_instance(raw) -> ScvInstance:
                 seen[c] = sub.name
     missing = [c for c in range(m) if c not in seen]
     if missing:
-        partition.append(f"candidate ids {missing} belong to no subset")
+        partition.append(f"candidate ids {_id_list(missing)} belong to no subset")
 
     for sub in inst.subsets:
         if not 1 <= sub.quota <= sub.size:
@@ -245,7 +249,7 @@ def validate_instance(raw) -> ScvInstance:
         for i, b in enumerate(inst.ballots):
             bad = sorted(c for c in b if not 0 <= c < m)
             if bad:
-                ballot.append(f"ballot {i} references unknown candidate ids {bad}")
+                ballot.append(f"ballot {i} references unknown candidate ids {_id_list(bad)}")
 
     for kind, problems in (
         (InvalidInstance, structure),
@@ -388,15 +392,22 @@ def instance_from_document(doc: Mapping) -> ScvInstance:
         if not all(isinstance(c, str) for c in cands):
             raise ParseError(f"{where} field 'candidates' must list strings")
         subsets.append((name, cands, quota))
+    # only strings resolve to ids, so the name-by-name type check runs only
+    # when resolution fails; it reports a badly typed ballot before any
+    # unknown or duplicate name, as a check ahead of resolution would
+    try:
+        if all(map(isinstance, raw_ballots, repeat(list))):
+            return ScvInstance.from_names(voters, subsets, raw_ballots)
+    except InvalidInstance as exc:
+        raise SemanticError(str(exc), problems=exc.problems) from exc
+    except (SemanticError, TypeError):
+        pass
     for idx, ballot in enumerate(raw_ballots):
         if not isinstance(ballot, list) or not all(
             isinstance(c, str) for c in ballot
         ):
             raise ParseError(f"ballot entry {idx} must be a list of candidate names")
-    try:
-        return ScvInstance.from_names(voters, subsets, raw_ballots)
-    except InvalidInstance as exc:
-        raise SemanticError(str(exc), problems=exc.problems) from exc
+    return ScvInstance.from_names(voters, subsets, raw_ballots)  # raises the SemanticError again
 
 
 def _load_json(text: str):
@@ -405,8 +416,11 @@ def _load_json(text: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON: {exc.msg}", exc.lineno, exc.colno) from exc
-    except (RecursionError, ValueError) as exc:  # too deeply nested; too many digits
+    except RecursionError as exc:  # too deeply nested
         raise ParseError(f"invalid JSON: {exc}") from exc
+    except ValueError as exc:  # the interpreter's cap on the digits of an int
+        limit = sys.get_int_max_str_digits()
+        raise ParseError(f"invalid JSON: number too long (over {limit} digits)") from exc
 
 
 def parse_instance(text: str) -> ScvInstance:
@@ -477,11 +491,11 @@ def validate_set_cover(sc: SetCoverInstance) -> SetCoverInstance:
         e for s in sc.collection for e in s if not 0 <= e < sc.ground_size
     )
     if out_of_range:
-        problems.append(f"collection references out-of-range elements {out_of_range}")
+        problems.append(f"collection references out-of-range elements {_id_list(out_of_range)}")
     covered = frozenset().union(*sc.collection) if sc.collection else frozenset()
     missing = [e for e in range(sc.ground_size) if e not in covered]
     if missing and not out_of_range:
-        problems.append(f"elements {missing} are covered by no subset")
+        problems.append(f"elements {_id_list(missing)} are covered by no subset")
     if not 1 <= sc.budget <= max(len(sc.collection), 1):
         problems.append(
             f"budget {sc.budget} outside 1 .. {len(sc.collection)}"

@@ -8,10 +8,13 @@ maximized, always exactly:
 * ``iw-pav``: the harmonic utility is earned per subset and summed, so a
   voter contributes sum_j H(|committee /\\ ballot /\\ subset j|).
 
-All arithmetic is on integers scaled by L = lcm(1..c_max), where c_max is
-the largest count any voter can reach in the scope being scored: then every
-L·H(j) and every step L/j is an integer.  One :class:`~fractions.Fraction`
-is built per result, at the API boundary.
+Scoring walks no ballot: the approver bitmasks of a scope's members are
+added into binary count planes, and the voters are split by plane into
+exact-count classes, so a score costs O(k log k) big-int operations per
+scope of k members.  All arithmetic is on integers scaled by L =
+lcm(1..c_max), where c_max is the largest count any voter can reach in the
+scope being scored: then every L·H(j) and every step L/j is an integer.
+One :class:`~fractions.Fraction` is built per result, at the API boundary.
 
 Maximization is exhaustive (these optima are NP-hard in general) over the
 feasible committees and guarded by a count budget.  One depth-first search
@@ -26,10 +29,10 @@ least.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb, lcm, prod
+from operator import or_
 from typing import Iterable, Sequence
 
 from .core import Committee, ScvInstance
@@ -61,31 +64,53 @@ def harmonic(j: int) -> Fraction:
     return Fraction(table[j], scale)
 
 
-def _histogram(inst: ScvInstance, scopes: Iterable[frozenset[int]]) -> Counter[int]:
-    """How many (voter, scope) pairs have each count of approved members in
-    the scope."""
-    return Counter(len(ballot & scope) for scope in scopes for ballot in inst.ballots)
+def _count_classes(masks: Sequence[int], scope: Iterable[int]) -> list[tuple[int, int]]:
+    """The voters who approve some member of ``scope``, split by how many
+    they approve, as ``(count, voter mask)`` pairs.
+
+    The members' approver masks are added into binary count planes by ripple
+    carry, so plane p holds bit p of every voter's count; the voters are then
+    split plane by plane, highest first, dropping empty groups.
+    """
+    planes: list[int] = []
+    for c in scope:
+        carry = masks[c]
+        for p, plane in enumerate(planes):
+            if not carry:
+                break
+            planes[p], carry = plane ^ carry, plane & carry
+        if carry:
+            planes.append(carry)
+    classes = [(0, reduce(or_, planes, 0))]
+    for p in reversed(range(len(planes))):
+        split = []
+        for count, voters in classes:
+            high = voters & planes[p]
+            if high:
+                split.append((count + (1 << p), high))
+            if high != voters:
+                split.append((count, voters ^ high))
+        classes = split
+    return classes
 
 
-def _harmonic_sum(histogram: Counter[int]) -> Fraction:
-    """Exact sum of m·H(c) over the histogram's (count c, multiplicity m)
-    pairs; m may be negative."""
-    scale, table = _scaled_harmonics(max(histogram, default=0))
-    return Fraction(sum(table[c] * m for c, m in histogram.items()), scale)
+def _score(inst: ScvInstance, scopes: Iterable[Iterable[int]]) -> Fraction:
+    """Exact sum of H(count) over every voter and scope."""
+    masks = inst.approver_masks
+    classes = [pair for scope in scopes for pair in _count_classes(masks, scope)]
+    scale, table = _scaled_harmonics(max((count for count, _ in classes), default=0))
+    return Fraction(sum(table[count] * voters.bit_count() for count, voters in classes), scale)
 
 
 def sw_pav_score(inst: ScvInstance, committee) -> Fraction:
     """Span-wide harmonic score of a feasible committee."""
-    members = Committee.of(inst, committee).members
-    return _harmonic_sum(_histogram(inst, [members]))
+    return _score(inst, [Committee.of(inst, committee).members])
 
 
 def iw_pav_score(inst: ScvInstance, committee) -> Fraction:
     """Per-subset harmonic score of a feasible committee."""
     members = Committee.of(inst, committee).members
-    return _harmonic_sum(
-        _histogram(inst, [members.intersection(sub.members) for sub in inst.subsets])
-    )
+    return _score(inst, [members.intersection(sub.members) for sub in inst.subsets])
 
 
 def marginal_contribution(inst: ScvInstance, committee, candidate: int) -> Fraction:
@@ -99,9 +124,7 @@ def marginal_contribution(inst: ScvInstance, committee, candidate: int) -> Fract
         raise NotMember(
             f"candidate {candidate} is not in the committee {sorted(members)}"
         )
-    histogram = _histogram(inst, [members])
-    histogram.subtract(_histogram(inst, [members - {candidate}]))
-    return _harmonic_sum(histogram)
+    return _score(inst, [members]) - _score(inst, [members - {candidate}])
 
 
 def score_to_json(score: Fraction) -> dict:

@@ -3,6 +3,9 @@
 import json
 import math
 import random
+import sys
+import tempfile
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +13,7 @@ from hypothesis import strategies as st
 
 import scvoting as sv
 from scvoting import fixtures
+from scvoting.cli import run
 from conftest import random_instance
 from scvoting.core import mask_voters
 
@@ -272,6 +276,91 @@ def test_json_past_the_decoder_limits_is_a_parse_error(parse, text):
         parse(text)
 
 
+def test_too_long_integer_names_its_cause_not_an_interpreter_setting():
+    limit = sys.get_int_max_str_digits()
+    for parse in (sv.parse_instance, sv.parse_set_cover):
+        with pytest.raises(sv.ParseError) as excinfo:
+            parse('{"voters": ' + "7" * (limit + 1) + "}")
+        assert str(excinfo.value) == f"invalid JSON: number too long (over {limit} digits)"
+
+
+def test_long_id_lists_are_cut_after_ten_with_their_count():
+    with pytest.raises(sv.InvalidSetCover) as excinfo:
+        sv.SetCoverInstance.of(1_000_000, [frozenset({0})], 1)
+    text = str(excinfo.value)
+    assert len(text.encode()) < 1024
+    assert text == (
+        "elements [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 999989 more (999999 in all) "
+        "are covered by no subset"
+    )
+    inst = sv.ScvInstance(
+        num_voters=1,
+        candidate_names=tuple(f"c{i}" for i in range(12)),
+        subsets=(sv.CandidateSubset("C1", (0,), 1),),
+        ballots=(frozenset(range(-11, 1)),),
+    )
+    with pytest.raises(sv.PartitionBroken) as excinfo:
+        sv.validate_instance(inst)
+    assert excinfo.value.problems == [
+        "candidate ids [1, 2, 3, 4, 5, 6, 7, 8, 9, 10] and 1 more (11 in all) belong to no subset",
+        "ballot 0 references unknown candidate ids "
+        "[-11, -10, -9, -8, -7, -6, -5, -4, -3, -2] and 1 more (11 in all)",
+    ]
+
+
+# -- parse diagnostics ---------------------------------------------------------
+
+AB = [{"name": "C1", "candidates": ["a", "b"], "quota": 1}]
+AB_AND_A_AGAIN = AB + [{"name": "C2", "candidates": ["a"], "quota": 1}]
+ENTRY = "ballot entry {} must be a list of candidate names"
+
+
+@pytest.mark.parametrize(
+    "subsets, ballots, voters, kind, message",
+    [
+        (AB, [["a"], ["ghost"], "a"], 3, sv.ParseError, ENTRY.format(2)),
+        (AB, [["a"], {"a": 1}], 2, sv.ParseError, ENTRY.format(1)),
+        (AB, ["ab", ["a"]], 2, sv.ParseError, ENTRY.format(0)),
+        (AB, [["a"], ["b", 7]], 2, sv.ParseError, ENTRY.format(1)),
+        (AB, [[True]], 1, sv.ParseError, ENTRY.format(0)),
+        (AB, [["a"], [None]], 2, sv.ParseError, ENTRY.format(1)),
+        (AB, [["a", []]], 1, sv.ParseError, ENTRY.format(0)),
+        (AB, [["b"], [{}]], 2, sv.ParseError, ENTRY.format(1)),
+        (AB, [["ghost", []]], 1, sv.ParseError, ENTRY.format(0)),
+        (AB, [["ghost"], ["a", 7]], 2, sv.ParseError, ENTRY.format(1)),
+        (AB, [["a"], ["b", "ghost", "zed"]], 2, sv.SemanticError,
+         "ballot 1 approves undeclared candidate 'ghost'"),
+        (AB, [["ghost"]], 2, sv.SemanticError,
+         "ballot 0 approves undeclared candidate 'ghost'"),
+        (AB_AND_A_AGAIN, [["a"], [7]], 2, sv.ParseError, ENTRY.format(1)),
+        (AB_AND_A_AGAIN, [["ghost"], ["a"]], 2, sv.SemanticError,
+         "candidate name 'a' declared twice (in 'C1' and 'C2')"),
+    ],
+    ids=[
+        "non-list-after-unknown-name",
+        "object-ballot",
+        "string-ballot",
+        "integer-name",
+        "true-name",
+        "null-name",
+        "list-name",
+        "object-name",
+        "unhashable-after-unknown-name",
+        "unknown-name-before-integer",
+        "unknown-name",
+        "unknown-name-and-wrong-ballot-count",
+        "duplicate-names-and-bad-ballot",
+        "duplicate-names-and-unknown-name",
+    ],
+)
+def test_ballot_diagnostics_keep_their_class_and_order(subsets, ballots, voters, kind, message):
+    doc = {"voters": voters, "subsets": subsets, "ballots": ballots}
+    with pytest.raises(sv.ScvError) as excinfo:
+        sv.parse_instance(json.dumps(doc))
+    assert type(excinfo.value) is kind
+    assert str(excinfo.value) == message
+
+
 names = st.text(alphabet="abcxyz'_0123456789", min_size=1, max_size=4)
 
 
@@ -309,6 +398,74 @@ def instances(draw):
 @given(instances())
 def test_parse_of_serialize_is_identity(inst):
     assert sv.parse_instance(sv.serialize_instance(inst)) == inst
+
+
+def _json_paths(node, path=()):
+    """Every path into a JSON tree, the root's empty path first."""
+    yield path
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        items = ()
+    for key, child in items:
+        yield from _json_paths(child, path + (key,))
+
+
+def _replaced(node, path, value):
+    if not path:
+        return value
+    copy = dict(node) if isinstance(node, dict) else list(node)
+    copy[path[0]] = _replaced(node[path[0]], path[1:], value)
+    return copy
+
+
+def json_values(names):
+    """Random JSON values whose strings are often field or candidate names."""
+    leaves = (
+        st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False)
+        | st.text(max_size=3) | st.sampled_from(["ghost", "S0", *names])
+    )
+    keys = st.sampled_from(["voters", "subsets", "ballots", "name", "candidates", "quota"])
+    return st.recursive(
+        leaves,
+        lambda children: st.lists(children, max_size=3)
+        | st.dictionaries(keys, children, max_size=3),
+        max_leaves=6,
+    )
+
+
+@st.composite
+def mutated_documents(draw):
+    """The text of a valid instance after one mutation: a node of its JSON
+    tree replaced by a random value, or a slice of its text replaced by a
+    random string."""
+    inst = draw(instances())
+    text = sv.serialize_instance(inst)
+    if draw(st.booleans()):
+        doc = json.loads(text)
+        path = draw(st.sampled_from(list(_json_paths(doc))))
+        return json.dumps(_replaced(doc, path, draw(json_values(inst.candidate_names))))
+    start = draw(st.integers(0, len(text)))
+    stop = draw(st.integers(start, min(len(text), start + 8)))
+    insert = draw(st.text(alphabet='{}[]",:0123456789abxe-. \\', max_size=4))
+    return text[:start] + insert + text[stop:]
+
+
+@settings(max_examples=200, deadline=None)
+@given(mutated_documents())
+def test_mutated_documents_fail_only_with_library_errors(text):
+    try:
+        inst = sv.parse_instance(text)
+    except sv.ScvError:
+        inst = None
+    else:
+        assert sv.parse_instance(sv.serialize_instance(inst)) == inst
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "mutated.json"
+        path.write_text(text, encoding="utf-8")
+        assert run(["--quiet", "validate", str(path)]) == (2 if inst is None else 0)
 
 
 # -- generators ----------------------------------------------------------------

@@ -124,6 +124,42 @@ def test_single_subset_variants_coincide():
     assert sv.maximize(inst, sv.SW_PAV) == sv.maximize(inst, sv.IW_PAV)
 
 
+@st.composite
+def wide_electorates(draw):
+    """8 to 14 candidates in up to 3 subsets with quotas of at least half the
+    subset, so committees have 4 or more members, and 1 to 1,100 voters, so
+    the approver masks cross 64-bit words and the 1,024-voter block.  Each
+    voter casts one of a few ballots, one of them approving everyone, so the
+    counts fill several binary planes."""
+    total = draw(st.integers(8, 14))
+    ids = draw(st.permutations(range(total)))
+    cuts = draw(st.sets(st.integers(1, total - 1), max_size=2))
+    bounds = [0, *sorted(cuts), total]
+    subsets = [
+        sv.CandidateSubset(f"S{j}", ids[lo:hi], draw(st.integers((hi - lo + 1) // 2, hi - lo)))
+        for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
+    voters = draw(st.integers(1, 1100) | st.sampled_from([63, 64, 65, 1023, 1024, 1025, 1100]))
+    kinds = [frozenset(ids), *draw(st.lists(st.frozensets(st.integers(0, total - 1)), max_size=4))]
+    rng = draw(st.randoms(use_true_random=False))
+    ballots = [rng.choice(kinds) for _ in range(voters)]
+    names = [f"c{i}" for i in range(total)]
+    inst = sv.validate_instance(sv.ScvInstance(voters, names, subsets, ballots))
+    members = [c for sub in subsets for c in rng.sample(sub.members, sub.quota)]
+    return inst, inst.committee(members), rng.choice(members)
+
+
+@settings(max_examples=60, deadline=None)
+@given(wide_electorates())
+def test_mask_scores_match_the_oracle(draw):
+    inst, w, c = draw
+    assert sv.sw_pav_score(inst, w) == oracle_score(inst, w.members, sv.SW_PAV)
+    assert sv.iw_pav_score(inst, w) == oracle_score(inst, w.members, sv.IW_PAV)
+    assert sv.marginal_contribution(inst, w, c) == oracle_score(
+        inst, w.members, sv.SW_PAV
+    ) - oracle_score(inst, w.members - {c}, sv.SW_PAV)
+
+
 # -- marginal contributions ------------------------------------------------------------
 
 
