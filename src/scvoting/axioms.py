@@ -4,7 +4,10 @@ Four axioms are verified, each quantifying over "large enough" cohesive
 voter groups (size thresholds are compared exactly via cross-multiplication,
 never floats):
 
-* ``jr``          - classic single-pool justified representation,
+* ``jr``          - classic single-pool justified representation: sw-jr
+                    never reads the partition, so on an instance it is
+                    sw-jr relabelled; raw ballots are first embedded as a
+                    one-subset instance,
 * ``sw-jr``       - span-wide: any group of >= n/k voters sharing a candidate
                     must get someone it approves, anywhere in the committee,
 * ``iw-jr``       - per subset: within subset j, groups of >= n/k_j voters
@@ -220,22 +223,38 @@ def check_weak_sw_jr(inst: ScvInstance, committee) -> AxiomVerdict:
 
 
 def check_jr(
-    ballots: Iterable[Iterable[int]],
+    ballots: ScvInstance | Iterable[Iterable[int]],
     committee: Iterable[int],
     k: int,
     num_candidates: Optional[int] = None,
 ) -> AxiomVerdict:
     """Classic justified representation for a single candidate pool.
 
-    Convenience wrapper embedding the data as a one-subset instance; ballots
-    and the committee use integer candidate ids.
+    ``ballots`` is either raw ballots of integer candidate ids, embedded as a
+    one-subset instance (:func:`jr_embedding`), or an :class:`ScvInstance`,
+    checked as it is: sw-jr reads only n, k, the candidates and their
+    approvers, never the partition, so it is jr relabelled.  The committee
+    is still validated against that instance's quotas.  With an instance,
+    ``k`` must be its committee size and ``num_candidates`` ``None`` or its
+    candidate count, else :class:`ValueError`.
     """
-    ballots = [frozenset(b) for b in ballots]
-    committee = frozenset(committee)
-    if num_candidates is None:
-        referenced = frozenset().union(committee, *ballots) if ballots else committee
-        num_candidates = max(referenced, default=-1) + 1
-    inst = jr_embedding(ballots, k, num_candidates)
+    if isinstance(ballots, ScvInstance):
+        inst = ballots
+        if k != inst.committee_size:
+            raise ValueError(
+                f"k = {k} but the instance's committee size is {inst.committee_size}"
+            )
+        if num_candidates not in (None, inst.num_candidates):
+            raise ValueError(
+                f"num_candidates = {num_candidates} but the instance has {inst.num_candidates}"
+            )
+    else:
+        ballots = [frozenset(b) for b in ballots]
+        committee = frozenset(committee)
+        if num_candidates is None:
+            referenced = frozenset().union(committee, *ballots) if ballots else committee
+            num_candidates = max(referenced, default=-1) + 1
+        inst = jr_embedding(ballots, k, num_candidates)
     verdict = check_sw_jr(inst, committee)
     return AxiomVerdict(JR, verdict.satisfied, verdict.witness, verdict.note)
 
@@ -318,7 +337,9 @@ def check_axiom(inst: ScvInstance, committee, axiom: str) -> AxiomVerdict:
     """Dispatch to the fast checker for ``axiom``.
 
     For ``jr`` the whole profile is treated as a single pool with the full
-    committee size (the classic definition, ignoring the partition).
+    committee size (the classic definition, ignoring the partition): the
+    instance goes to :func:`check_jr` as it is, with its cached approver
+    masks, and nothing is rebuilt.
     """
     if axiom == SW_JR:
         return check_sw_jr(inst, committee)
@@ -327,6 +348,5 @@ def check_axiom(inst: ScvInstance, committee, axiom: str) -> AxiomVerdict:
     if axiom == WEAK_SW_JR:
         return check_weak_sw_jr(inst, committee)
     if axiom == JR:
-        won = Committee.of(inst, committee).members
-        return check_jr(inst.ballots, won, inst.committee_size, inst.num_candidates)
+        return check_jr(inst, committee, inst.committee_size)
     raise ValueError(f"unknown axiom {axiom!r}")

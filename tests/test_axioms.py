@@ -5,7 +5,7 @@ import random
 import pytest
 
 import scvoting as sv
-from scvoting import fixtures
+from scvoting import axioms, fixtures
 from conftest import random_committee, random_instance
 
 
@@ -178,6 +178,117 @@ def test_jr_wrapper_matches_sw_on_flat_instances():
         w = random_committee(rng, inst)
         jr = sv.check_jr(inst.ballots, w.members, inst.committee_size, inst.num_candidates)
         assert jr.satisfied == sv.check_sw_jr(inst, w).satisfied
+
+
+def test_jr_on_an_instance_builds_nothing_new(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("check_axiom(..., 'jr') must not embed or validate again")
+
+    monkeypatch.setattr(axioms, "jr_embedding", refuse)
+    monkeypatch.setattr(axioms, "validate_instance", refuse)
+    calls = []
+
+    def spy(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append(("enter", name))
+            verdict = fn(*args, **kwargs)
+            calls.append(("exit", name))
+            return verdict
+
+        return wrapper
+
+    monkeypatch.setattr(axioms, "check_jr", spy("check_jr", axioms.check_jr))
+    monkeypatch.setattr(axioms, "check_sw_jr", spy("check_sw_jr", axioms.check_sw_jr))
+
+    inst = fixtures.no_swjr_instance()
+    assert inst.num_subsets > 1
+    w = inst.committee([inst.candidate_id("a1"), inst.candidate_id("b1")])
+    verdict = sv.check_axiom(inst, w, sv.JR)
+    assert verdict == sv.AxiomVerdict(
+        sv.JR, False, sv.Violation({1}, (inst.candidate_id("a2"),))
+    )
+    assert calls == [
+        ("enter", "check_jr"),
+        ("enter", "check_sw_jr"),
+        ("exit", "check_sw_jr"),
+        ("exit", "check_jr"),
+    ]
+
+
+def seeded_jr_instance(rng):
+    """1 to 140 voters, 1 to 4 subsets with interleaved ids, and ballots that
+    are all empty, copied from a few kinds (which may be empty) or drawn
+    independently.  Half of the draws have at most 16 voters, within reach
+    of the oracle."""
+    total = rng.randint(1, 10)
+    ids = rng.sample(range(total), total)
+    cuts = sorted(rng.sample(range(1, total), min(rng.randint(0, 3), total - 1)))
+    bounds = [0, *cuts, total]
+    subsets = [
+        sv.CandidateSubset(f"S{j}", ids[lo:hi], rng.randint(1, hi - lo))
+        for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
+    voters = rng.randint(1, 16) if rng.random() < 0.5 else rng.randint(17, 140)
+    approval_prob = rng.choice([0.1, 0.2, 0.4])
+
+    def draw():
+        return frozenset(c for c in range(total) if rng.random() < approval_prob)
+
+    shape = rng.choice(["empty", "copies", "copies", "free"])
+    if shape == "empty":
+        ballots = [frozenset()] * voters
+    elif shape == "copies":
+        # most kinds approve someone, so that cohesive groups are common
+        kinds = [
+            draw() | {rng.randrange(total)} if rng.random() < 0.75 else draw()
+            for _ in range(rng.randint(1, 4))
+        ]
+        ballots = [rng.choice(kinds) for _ in range(voters)]
+    else:
+        ballots = [draw() for _ in range(voters)]
+    names = [f"c{i}" for i in range(total)]
+    return sv.validate_instance(sv.ScvInstance(voters, names, subsets, ballots))
+
+
+def least_approved_committee(inst):
+    """Each subset's quota of least-approved candidates, lowest id on ties,
+    so that large groups are often left out."""
+    support = [sum(c in b for b in inst.ballots) for c in range(inst.num_candidates)]
+    members = []
+    for sub in inst.subsets:
+        members += sorted(sub.members, key=lambda c: (support[c], c))[: sub.quota]
+    return inst.committee(members)
+
+
+def test_jr_on_an_instance_equals_jr_on_its_ballots():
+    rng = random.Random(8)
+    for draw in range(300):
+        inst = seeded_jr_instance(rng)
+        w = random_committee(rng, inst) if draw % 2 else least_approved_committee(inst)
+        got = sv.check_jr(inst, w, inst.committee_size)
+        want = sv.check_jr(
+            [set(b) for b in inst.ballots], w.members, inst.committee_size, inst.num_candidates
+        )
+        assert got.axiom == want.axiom == sv.JR
+        assert (got.satisfied, got.note) == (want.satisfied, want.note)
+        assert got.witness == want.witness
+        if inst.num_voters <= 16:
+            assert got.satisfied == sv.brute_force_axiom(inst, w, sv.JR).satisfied
+
+
+def test_jr_on_an_instance_rejects_another_committee_size():
+    inst = fixtures.no_swjr_instance()
+    w = inst.committee([inst.candidate_id("a1"), inst.candidate_id("b1")])
+    with pytest.raises(ValueError, match="committee size"):
+        sv.check_jr(inst, w, inst.committee_size + 1)
+
+
+def test_jr_on_an_instance_rejects_another_candidate_count():
+    inst = fixtures.no_swjr_instance()
+    w = inst.committee([inst.candidate_id("a1"), inst.candidate_id("b1")])
+    assert not sv.check_jr(inst, w, inst.committee_size, inst.num_candidates).satisfied
+    with pytest.raises(ValueError, match="num_candidates"):
+        sv.check_jr(inst, w, inst.committee_size, inst.num_candidates + 1)
 
 
 # -- brute-force oracle ----------------------------------------------------------------
