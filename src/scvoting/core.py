@@ -14,7 +14,7 @@ import random
 import sys
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, product, repeat
+from itertools import combinations, compress, product, repeat
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -331,9 +331,13 @@ def iter_feasible_committees(inst: ScvInstance) -> Iterator[Committee]:
 # -- voter bitmasks -------------------------------------------------------------
 
 
+_BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits as selector bytes
+
+
 def mask_voters(mask: int) -> list[int]:
     """Ids of the voters whose bits are set in ``mask``, ascending."""
-    return [i for i, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
+    bits = bin(mask)[:1:-1].encode().translate(_BITS)  # voter 0 first
+    return list(compress(range(len(bits)), bits))
 
 
 def best_supported(

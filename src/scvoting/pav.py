@@ -18,13 +18,13 @@ One :class:`~fractions.Fraction` is built per result, at the API boundary.
 
 Maximization is exhaustive (these optima are NP-hard in general) over the
 feasible committees and guarded by a count budget.  One depth-first search
-serves both variants: it picks one candidate per level, keeps the per-voter
-approval counts up to date as it descends and backs out, and prunes a branch
-once even a full point per voter in every open slot could not reach the
-incumbent.  ``sw-pav`` searches all subsets at once; the ``iw-pav``
-objective splits per subset, so it searches each subset alone.  Ties always
-resolve to the committee whose sorted member-id tuple is lexicographically
-least.
+serves both variants: it picks one candidate per level, keeps each level's
+voters as exact-count classes on the approver masks, so backing out of a
+pick undoes nothing, and prunes a branch once even a full point per voter in
+every open slot could not reach the incumbent.  ``sw-pav`` searches all
+subsets at once; the ``iw-pav`` objective splits per subset, so it searches
+each subset alone.  Ties always resolve to the committee whose sorted
+member-id tuple is lexicographically least.
 """
 
 from __future__ import annotations
@@ -66,7 +66,7 @@ def harmonic(j: int) -> Fraction:
 
 def _count_classes(masks: Sequence[int], scope: Iterable[int]) -> list[tuple[int, int]]:
     """The voters who approve some member of ``scope``, split by how many
-    they approve, as ``(count, voter mask)`` pairs.
+    they approve, as ``(count, voter mask)`` pairs, highest count first.
 
     The members' approver masks are added into binary count planes by ripple
     carry, so plane p holds bit p of every voter's count; the voters are then
@@ -151,31 +151,22 @@ def maximize(
     if total > budget:
         raise BudgetExceeded(total, budget)
 
-    approvers: list[list[int]] = [[] for _ in range(inst.num_candidates)]
-    for i, ballot in enumerate(inst.ballots):
-        for c in ballot:
-            approvers[c].append(i)
+    masks = inst.approver_masks
     subsets = [(sorted(sub.members), sub.quota) for sub in inst.subsets]
     if variant == SW_PAV:
         c_max = min(inst.committee_size, max(map(len, inst.ballots), default=0))
-        scale, table = _scaled_harmonics(c_max)
-        score, members = _search(approvers, inst.num_voters, subsets, table)
+        scopes = [subsets]
     else:
-        c_max = 0
-        for pool, quota in subsets:
-            reach = max((len(ballot.intersection(pool)) for ballot in inst.ballots), default=0)
-            c_max = max(c_max, min(quota, reach))
-        scale, table = _scaled_harmonics(c_max)
-        score, members = 0, ()
-        for part in subsets:
-            part_score, part_members = _search(approvers, inst.num_voters, [part], table)
-            score += part_score
-            members += part_members
+        c_max = max((min(q, _count_classes(masks, pool)[0][0]) for pool, q in subsets), default=0)
+        scopes = [[part] for part in subsets]
+    scale, table = _scaled_harmonics(c_max)
+    parts = [_search(masks, inst.num_voters, scope, table) for scope in scopes]
+    score, members = sum(s for s, _ in parts), [c for _, part in parts for c in part]
     return Committee(frozenset(members)), Fraction(score, scale)
 
 
 def _search(
-    approvers: Sequence[Sequence[int]],
+    masks: Sequence[int],
     num_voters: int,
     subsets: Sequence[tuple[Sequence[int], int]],
     table: Sequence[int],
@@ -184,18 +175,18 @@ def _search(
     ``(sorted pool, quota)`` pair, with the lexicographically least sorted
     member tuple among ties.
 
-    A voter's count starts at 0 and its score at count j is ``table[j]``, so
-    ``table`` must reach the largest count any voter can get here.  Each
-    level of the search picks one member, after the previous pick of the
-    same pool, so every combination is reached once and shares the work of
-    its prefix.  The loop is iterative so that a committee with thousands of
-    seats does not exhaust the interpreter stack.
+    ``table[j]`` is a voter's score at count j, up to the largest count any
+    voter can reach here.  Each level picks one member after the previous
+    pick of the same pool, so every combination is reached once and shares
+    the work of its prefix.  ``stack[d]`` holds the voters before level d's
+    pick as ``(count, voter mask)`` classes by ascending count, none empty.
+    A pick with approver mask a gains ``steps[j] * |v & a|`` on each class
+    ``(j, v)`` and splits it into ``v & ~a``, staying at j, and ``v & a``,
+    which joins the stayers at j + 1.  The loop is iterative so that
+    thousands of seats do not exhaust the interpreter stack.
     """
-    levels = [
-        (pool, s == 0, len(pool) - quota + s + 1)
-        for pool, quota in subsets
-        for s in range(quota)
-    ]
+    levels = [(pool, s == 0, len(pool) - quota + s + 1)
+              for pool, quota in subsets for s in range(quota)]
     depth = len(levels)
     if depth == 0:
         return 0, ()
@@ -203,44 +194,57 @@ def _search(
     # the most the levels from d onward can add: a first approval, L, per voter each
     full = steps[0] if steps else 0
     room = [num_voters * full * (depth - d) for d in range(depth + 1)]
-    counts = [0] * num_voters
-    picks = [-1] * depth
-    partial = [0] * depth
+    stack = [[(0, (1 << num_voters) - 1)]] * depth  # the root: everyone at count 0
+    picks, partial = [-1] * depth, [0] * depth
     best, best_members = -1, ()
-
-    d, applied = 0, False
+    need = [best - r for r in room]  # a level-d score below need[d] cannot catch up
+    d = 0
     while d >= 0:
         pool, fresh, end = levels[d]
-        if applied:
-            for i in approvers[pool[picks[d]]]:
-                counts[i] -= 1
         p = picks[d] + 1
+        if d + 1 == depth:  # the leaves left on this branch only sum their gains
+            for p in range(p, end):
+                approved = masks[pool[p]]
+                score = partial[d]
+                for j, voters in stack[d]:
+                    hit = voters & approved
+                    if hit:
+                        score += steps[j] * hit.bit_count()
+                if score >= best:
+                    picks[d] = p
+                    members = tuple(sorted(lv[0][q] for lv, q in zip(levels, picks)))
+                    if score > best or members < best_members:
+                        best, best_members = score, members
+                        need = [best - r for r in room]
+            p = end
         if p >= end:
-            d, applied = d - 1, True
+            d -= 1
             continue
         picks[d] = p
-        voters = approvers[pool[p]]
-        if d + 1 == depth:
-            # a leaf is scored without touching the counts
-            score = partial[d]
-            for i in voters:
-                score += steps[counts[i]]
-            if score >= best:
-                members = tuple(sorted(lv[0][q] for lv, q in zip(levels, picks)))
-                if score > best or members < best_members:
-                    best, best_members = score, members
-            applied = False
-            continue
+        approved = masks[pool[p]]
         score = partial[d]
-        for i in voters:
-            t = counts[i]
-            score += steps[t]
-            counts[i] = t + 1
-        applied = True
-        if score + room[d + 1] < best:
+        split, up = [], 0  # up: the previous class's hits, now at count `rise`
+        for j, voters in stack[d]:
+            hit = voters & approved
+            if up:
+                if rise == j:
+                    voters |= up
+                else:
+                    split.append((rise, up))
+                up = 0
+            if hit:
+                n = hit.bit_count()  # at n == 1 skip the multiply, as dear as an add
+                score += steps[j] if n == 1 else steps[j] * n
+                voters ^= hit
+                up, rise = hit, j + 1
+            if voters:
+                split.append((j, voters))
+        if up:
+            split.append((rise, up))
+        if score < need[d + 1]:
             continue
         d += 1
+        stack[d] = split
         partial[d] = score
         picks[d] = -1 if levels[d][1] else p
-        applied = False
     return best, best_members

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import os
 import random
 from itertools import combinations
+
+from hypothesis import settings
 
 from scvoting import (
     Committee,
@@ -12,6 +15,13 @@ from scvoting import (
     UniformModel,
     generate_instance,
 )
+
+# CI runners keep no example database between runs, so a failing property
+# prints the blob that replays it (@reproduce_failure); example counts stay
+# as each test sets them
+settings.register_profile("ci", print_blob=True, deadline=None)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 def random_instance(

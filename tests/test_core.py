@@ -183,7 +183,14 @@ def test_approver_masks_mirror_the_ballots():
             want = [i for i, ballot in enumerate(inst.ballots) if c in ballot]
             assert mask == sum(1 << i for i in want)
             assert mask_voters(mask) == want
+    # bits on either side of the 64-bit word edge and past the 1,024-voter block
     assert mask_voters(0) == []
+    assert mask_voters(1) == [0]
+    assert mask_voters(1 << 63) == [63]
+    assert mask_voters(1 << 64) == [64]
+    assert mask_voters(1 << 1024) == [1024]
+    assert mask_voters((1 << 1025) - 1) == list(range(1025))
+    assert mask_voters((1 << 1024) | (1 << 64) | 1) == [0, 64, 1024]
 
 
 def test_infeasible_committee_rejected():

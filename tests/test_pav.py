@@ -266,13 +266,9 @@ def test_maximize_matches_exhaustive_enumeration():
             assert got_w.members == want_w.members, (variant, sorted(got_w.members))
 
 
-@st.composite
-def tie_heavy_instances(draw):
-    """Up to 10 voters, 10 candidates and 3 subsets, whose candidate ids may
-    interleave.  Ballots are all empty (approval probability 0), all full
-    (probability 1), copies of at most three distinct ballots, or drawn
-    independently."""
-    total = draw(st.integers(1, 10))
+def interleaved_subsets(draw, total):
+    """Candidate ids 0..total-1 shuffled and cut into up to 3 subsets with
+    random quotas, so the subsets' ids may interleave."""
     ids = draw(st.permutations(range(total)))
     cuts = draw(st.sets(st.integers(1, total - 1), max_size=2)) if total > 1 else set()
     bounds = [0, *sorted(cuts), total]
@@ -280,6 +276,17 @@ def tie_heavy_instances(draw):
         sv.CandidateSubset(f"S{j}", ids[lo:hi], draw(st.integers(1, hi - lo)))
         for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
     ]
+    return ids, subsets
+
+
+@st.composite
+def tie_heavy_instances(draw):
+    """Up to 10 voters, 10 candidates and 3 subsets, whose candidate ids may
+    interleave.  Ballots are all empty (approval probability 0), all full
+    (probability 1), copies of at most three distinct ballots, or drawn
+    independently."""
+    total = draw(st.integers(1, 10))
+    ids, subsets = interleaved_subsets(draw, total)
     voters = draw(st.integers(1, 10))
     ballot = st.frozensets(st.integers(0, total - 1))
     shape = draw(st.sampled_from(["empty", "full", "copies", "free"]))
@@ -314,6 +321,42 @@ def test_maximize_matches_the_oracle_on_tie_heavy_draws(inst, variant):
     got_w, got_score = sv.maximize(inst, variant)
     want_w, want_score = lexmin_argmax(inst, variant)
     assert (got_w.sorted_members, got_score) == (want_w.sorted_members, want_score)
+
+
+@st.composite
+def wide_tie_heavy_instances(draw):
+    """Up to 8 candidates in up to 3 subsets with interleaved ids, and 63, 64,
+    65, 129 or 1,025 voters, so the approver masks and the search's count
+    classes span several int digits and cross the 64-bit and 1,024-bit marks.
+    Ballots are all empty, all full, copies of at most three distinct ballots,
+    or drawn independently; the voters' ballots come from a seeded generator,
+    as a thousand drawn one by one would overrun the example's data."""
+    total = draw(st.integers(1, 8))
+    ids, subsets = interleaved_subsets(draw, total)
+    voters = draw(st.sampled_from([63, 64, 65, 129, 1025]))
+    rng = draw(st.randoms(use_true_random=False))
+    shape = draw(st.sampled_from(["empty", "full", "copies", "free"]))
+    if shape == "empty":
+        ballots = [frozenset()] * voters
+    elif shape == "full":
+        ballots = [frozenset(ids)] * voters
+    elif shape == "copies":
+        kinds = draw(st.lists(st.frozensets(st.integers(0, total - 1)), min_size=1, max_size=3))
+        ballots = [rng.choice(kinds) for _ in range(voters)]
+    else:
+        prob = rng.random()
+        ballots = [frozenset(c for c in ids if rng.random() < prob) for _ in range(voters)]
+    names = [f"c{i}" for i in range(total)]
+    return sv.validate_instance(sv.ScvInstance(voters, names, subsets, ballots))
+
+
+@settings(max_examples=100, deadline=None)
+@given(wide_tie_heavy_instances())
+def test_maximize_matches_the_oracle_across_mask_word_boundaries(inst):
+    for variant in sv.VARIANTS:
+        got_w, got_score = sv.maximize(inst, variant)
+        want_w, want_score = lexmin_argmax(inst, variant)
+        assert (got_w.sorted_members, got_score) == (want_w.sorted_members, want_score), variant
 
 
 def test_optima_keep_their_axiom_guarantees():
