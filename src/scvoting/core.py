@@ -203,62 +203,52 @@ def validate_instance(raw) -> ScvInstance:
     if isinstance(raw, Mapping):
         return instance_from_document(raw)
     inst = raw
-    structure: list[str] = []
-    partition: list[str] = []
-    quota: list[str] = []
-    ballot: list[str] = []
+    problems: list[tuple[type, str]] = []  # (class, message), in check order
 
     if inst.num_voters < 1:
-        structure.append(f"need at least one voter, got {inst.num_voters}")
+        problems.append((InvalidInstance, f"need at least one voter, got {inst.num_voters}"))
     if inst.num_subsets < 1:
-        structure.append("need at least one candidate subset")
+        problems.append((InvalidInstance, "need at least one candidate subset"))
     if len(inst.ballots) != inst.num_voters:
-        structure.append(
-            f"expected {inst.num_voters} ballots, got {len(inst.ballots)}"
+        problems.append(
+            (InvalidInstance, f"expected {inst.num_voters} ballots, got {len(inst.ballots)}")
         )
     if len(set(inst.candidate_names)) != len(inst.candidate_names):
-        structure.append("candidate names are not unique")
+        problems.append((InvalidInstance, "candidate names are not unique"))
     if len({s.name for s in inst.subsets}) != len(inst.subsets):
-        structure.append("subset names are not unique")
+        problems.append((InvalidInstance, "subset names are not unique"))
 
     m = inst.num_candidates
     seen: dict[int, str] = {}
     for sub in inst.subsets:
         for c in sub.members:
             if not 0 <= c < m:
-                partition.append(f"subset {sub.name!r} lists out-of-range id {c}")
+                problems.append((PartitionBroken, f"subset {sub.name!r} lists out-of-range id {c}"))
             elif c in seen:
-                partition.append(
-                    f"candidate id {c} appears in both {seen[c]!r} and {sub.name!r}"
-                )
+                problems.append((PartitionBroken,
+                                 f"candidate id {c} appears in both {seen[c]!r} and {sub.name!r}"))
             else:
                 seen[c] = sub.name
     missing = [c for c in range(m) if c not in seen]
     if missing:
-        partition.append(f"candidate ids {_id_list(missing)} belong to no subset")
+        problems.append((PartitionBroken, f"candidate ids {_id_list(missing)} belong to no subset"))
 
     for sub in inst.subsets:
         if not 1 <= sub.quota <= sub.size:
-            quota.append(
-                f"subset {sub.name!r} has quota {sub.quota}, "
-                f"needs 1 <= quota <= {sub.size}"
-            )
+            problems.append((QuotaInfeasible, f"subset {sub.name!r} has quota {sub.quota}, "
+                                              f"needs 1 <= quota <= {sub.size}"))
 
     # test the distinct approved ids first; walk the ballots only to name them
     if any(not 0 <= c < m for c in frozenset().union(*inst.ballots)):
         for i, b in enumerate(inst.ballots):
             bad = sorted(c for c in b if not 0 <= c < m)
             if bad:
-                ballot.append(f"ballot {i} references unknown candidate ids {_id_list(bad)}")
+                problems.append(
+                    (BadBallot, f"ballot {i} references unknown candidate ids {_id_list(bad)}")
+                )
 
-    for kind, problems in (
-        (InvalidInstance, structure),
-        (PartitionBroken, partition),
-        (QuotaInfeasible, quota),
-        (BadBallot, ballot),
-    ):
-        if problems:
-            raise kind(structure + partition + quota + ballot)
+    if problems:
+        raise problems[0][0]([message for _, message in problems])
     return inst
 
 

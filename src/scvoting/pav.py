@@ -21,10 +21,10 @@ feasible committees and guarded by a count budget.  One depth-first search
 serves both variants: it picks one candidate per level, keeps each level's
 voters as exact-count classes on the approver masks, so backing out of a
 pick undoes nothing, and prunes a branch once even a full point per voter in
-every open slot could not reach the incumbent.  ``sw-pav`` searches all
-subsets at once; the ``iw-pav`` objective splits per subset, so it searches
-each subset alone.  Ties always resolve to the committee whose sorted
-member-id tuple is lexicographically least.
+every open slot could not reach the incumbent.  A variant is its list of
+scopes, searched one by one: one scope of all subsets for ``sw-pav``, one
+per subset for ``iw-pav``.  Ties always resolve to the committee whose
+sorted member-id tuple is lexicographically least.
 """
 
 from __future__ import annotations
@@ -139,26 +139,24 @@ def maximize(
 ) -> tuple[Committee, Fraction]:
     """Exact optimum of the chosen variant over all feasible committees.
 
-    Raises :class:`BudgetExceeded` (reporting the committee count that would
-    be enumerated) instead of starting a search larger than ``budget``.
-    Among co-optimal committees the lexicographically least sorted member
-    tuple is returned.
+    The variant only picks the scopes: ``sw-pav`` searches one holding every
+    subset, ``iw-pav`` one per subset.  Raises :class:`BudgetExceeded`
+    (reporting the committee count that would be enumerated) instead of
+    starting a search larger than ``budget``.  Among co-optimal committees
+    the lexicographically least sorted member tuple is returned.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
-    per_subset = [comb(sub.size, sub.quota) for sub in inst.subsets]
-    total = sum(per_subset) if variant == IW_PAV else prod(per_subset)
+    subsets = [(sorted(sub.members), sub.quota) for sub in inst.subsets]
+    scopes = [subsets] if variant == SW_PAV else [[part] for part in subsets]
+    total = sum(prod(comb(len(pool), q) for pool, q in scope) for scope in scopes)
     if total > budget:
         raise BudgetExceeded(total, budget)
 
     masks = inst.approver_masks
-    subsets = [(sorted(sub.members), sub.quota) for sub in inst.subsets]
-    if variant == SW_PAV:
-        c_max = min(inst.committee_size, max(map(len, inst.ballots), default=0))
-        scopes = [subsets]
-    else:
-        c_max = max((min(q, _count_classes(masks, pool)[0][0]) for pool, q in subsets), default=0)
-        scopes = [[part] for part in subsets]
+    c_max = max(min(sum(q for _, q in scope),
+                    _count_classes(masks, [c for pool, _ in scope for c in pool])[0][0])
+                for scope in scopes)
     scale, table = _scaled_harmonics(c_max)
     parts = [_search(masks, inst.num_voters, scope, table) for scope in scopes]
     score, members = sum(s for s, _ in parts), [c for _, part in parts for c in part]
@@ -188,8 +186,6 @@ def _search(
     levels = [(pool, s == 0, len(pool) - quota + s + 1)
               for pool, quota in subsets for s in range(quota)]
     depth = len(levels)
-    if depth == 0:
-        return 0, ()
     steps = [b - a for a, b in zip(table, table[1:])]  # steps[j]: gain of count j -> j+1
     # the most the levels from d onward can add: a first approval, L, per voter each
     full = steps[0] if steps else 0
@@ -233,8 +229,7 @@ def _search(
                     split.append((rise, up))
                 up = 0
             if hit:
-                n = hit.bit_count()  # at n == 1 skip the multiply, as dear as an add
-                score += steps[j] if n == 1 else steps[j] * n
+                score += steps[j] * hit.bit_count()
                 voters ^= hit
                 up, rise = hit, j + 1
             if voters:

@@ -29,10 +29,14 @@ Two exact rules cut a branch before it is walked:
   |S_c| - t + 1.  A voter none of the remaining candidates can represent
   counts against the capacity, so a dead ballot ends a branch as well.
 
-Every accepted leaf is re-verified with ``check_sw_jr``, so pruning bugs
-could only cost time, never answers.  The first accepted leaf in this order
-is the lexicographically least satisfying committee, which is what the
-search returns.  A :class:`SearchStats` passed in receives the work done.
+Every accepted leaf is re-verified with ``check_sw_jr``, so a returned
+committee always satisfies the axiom.  A rule that cuts too eagerly still
+loses answers: the search then returns None or a committee that is not the
+least.  ``test_search_matches_the_oracles_in_both_regimes`` and
+``test_search_agrees_with_exhaustive_enumeration`` check the rules against
+the oracles.  The first accepted leaf in this order is the
+lexicographically least satisfying committee, which is what the search
+returns.  A :class:`SearchStats` passed in receives the work done.
 
 :func:`encode_set_cover` embeds a set-cover question into this decision
 problem: voters are the ground elements, one single-voter candidate per

@@ -1,6 +1,10 @@
 """Exit codes, JSON output identity, and subcommand plumbing."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +229,34 @@ def test_gen_party_list_blocks(tmp_path, capsys):
 def test_gen_missing_params_is_usage_error(capsys):
     assert run(["gen", "--model", "uniform", "--seed", "1"]) == 1
     assert run(["gen", "--model", "party-list", "--seed", "1"]) == 1
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        (["--model", "uniform", "--voters", "2", "--sizes", "1,x", "--quotas", "1,1", "--p", "0.5"],
+         "--sizes must be comma-separated integers, got '1,x'"),
+        (["--model", "party-list", "--subset", "C1:one:x", "--block", "1:x"],
+         "bad --subset 'C1:one:x', expected NAME:QUOTA:c1,c2"),
+        (["--model", "party-list", "--subset", "C1:1:x", "--block", "x"],
+         "bad --block 'x', expected COUNT:c1,c2"),
+    ],
+    ids=["sizes", "subset", "block"],
+)
+def test_gen_malformed_option_is_usage_error(capsys, options, message):
+    assert run(["gen", "--seed", "1", *options]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_module_entry_point_prints_help():
+    result = subprocess.run(
+        [sys.executable, "-m", "scvoting", "--help"],
+        capture_output=True,
+        text=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(sv.__file__).parents[1])),
+    )
+    assert result.returncode == 0
+    assert result.stdout.startswith("usage: scvoting")
 
 
 def test_gen_bad_spec_is_invalid_input(capsys):

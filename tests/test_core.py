@@ -115,6 +115,31 @@ def test_every_violation_is_reported_at_once():
     assert len(excinfo.value.problems) == 2
 
 
+def _programmatic(names, subsets):
+    return sv.ScvInstance(1, names, [sv.CandidateSubset(*sub) for sub in subsets], [frozenset()])
+
+
+@pytest.mark.parametrize(
+    "inst, kind, problems",
+    [
+        (_programmatic(("x",), []), sv.InvalidInstance,
+         ["need at least one candidate subset", "candidate ids [0] belong to no subset"]),
+        (_programmatic(("x", "x"), [("C1", (0, 1), 1)]), sv.InvalidInstance,
+         ["candidate names are not unique"]),
+        (_programmatic(("x", "y"), [("C1", (0,), 1), ("C1", (1,), 1)]), sv.InvalidInstance,
+         ["subset names are not unique"]),
+        (_programmatic(("x",), [("C1", (0, 3), 1)]), sv.PartitionBroken,
+         ["subset 'C1' lists out-of-range id 3"]),
+    ],
+    ids=["no-subsets", "duplicate-candidate-names", "duplicate-subset-names", "out-of-range-id"],
+)
+def test_structural_violations_name_their_class_and_cause(inst, kind, problems):
+    with pytest.raises(sv.InvalidInstance) as excinfo:
+        sv.validate_instance(inst)
+    assert type(excinfo.value) is kind
+    assert excinfo.value.problems == problems
+
+
 def test_voterless_instance_rejected():
     with pytest.raises(sv.InvalidInstance):
         sv.ScvInstance.from_names(0, [("C1", ["x"], 1)], [])
@@ -281,6 +306,23 @@ def test_broken_json_reports_position():
 def test_json_past_the_decoder_limits_is_a_parse_error(parse, text):
     with pytest.raises(sv.ParseError, match="invalid JSON"):
         parse(text)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "set-cover document must be a JSON object"),
+        ('{"ground": 2, "subsets": [[0], [1, "x"]], "budget": 1}',
+         "set-cover subset 1 must be a list of integers"),
+        ('{"ground": 2, "subsets": [[0, true], [1]], "budget": 1}',
+         "set-cover subset 0 must be a list of integers"),
+    ],
+    ids=["array-document", "string-element", "true-element"],
+)
+def test_malformed_set_cover_is_a_parse_error(text, message):
+    with pytest.raises(sv.ParseError) as excinfo:
+        sv.parse_set_cover(text)
+    assert str(excinfo.value) == message
 
 
 def test_too_long_integer_names_its_cause_not_an_interpreter_setting():
@@ -523,6 +565,28 @@ def test_bad_generator_specs():
         sv.generate_instance(sv.PartyListModel((("C", ("x",), 1),), ((0, ("x",)),)), 1)
     with pytest.raises(sv.BadSpec):
         sv.generate_instance("mystery", 1)
+
+
+@pytest.mark.parametrize(
+    "model, message",
+    [
+        (sv.SetCoverModel(0, 2, 0.5, 1), "ground size and subset count must be positive"),
+        (sv.SetCoverModel(2, 0, 0.5, 1), "ground size and subset count must be positive"),
+        (sv.SetCoverModel(2, 2, 1.5, 1), "membership probability 1.5 outside [0, 1]"),
+        (sv.SetCoverModel(2, 2, -0.5, 1), "membership probability -0.5 outside [0, 1]"),
+        (sv.SetCoverModel(2, 2, 0.5, 0), "budget 0 outside 1 .. 2"),
+        (sv.SetCoverModel(2, 2, 0.5, 3), "budget 3 outside 1 .. 2"),
+        (sv.PartyListModel((("C", ("x",), 1),), ()), "party-list model needs at least one block"),
+        (sv.PartyListModel((("C", ("x",), 1),), ((1, ("ghost",)),)),
+         "ballot 0 approves undeclared candidate 'ghost'"),
+    ],
+    ids=["no-ground", "no-subsets", "probability-over-1", "negative-probability",
+         "budget-0", "budget-over-subsets", "no-blocks", "undeclared-block-candidate"],
+)
+def test_bad_generator_specs_name_their_cause(model, message):
+    with pytest.raises(sv.BadSpec) as excinfo:
+        sv.generate_instance(model, 1)
+    assert str(excinfo.value) == message
 
 
 def test_set_cover_model_emits_the_encoding():

@@ -359,6 +359,52 @@ def test_maximize_matches_the_oracle_across_mask_word_boundaries(inst):
         assert (got_w.sorted_members, got_score) == (want_w.sorted_members, want_score), variant
 
 
+class Unreadable:
+    """Stands in for an instance's ballots and fails on any use."""
+
+    def refuse(self, *args):
+        raise AssertionError("the ballots were read")
+
+    __getattr__ = __iter__ = __len__ = __getitem__ = __contains__ = __bool__ = refuse
+
+
+def interleaved_instance(rng):
+    """Up to 12 voters and 9 candidates in up to 3 subsets, with shuffled ids."""
+    total = rng.randint(1, 9)
+    ids = rng.sample(range(total), total)
+    cuts = sorted(rng.sample(range(1, total), min(total - 1, rng.randint(0, 2))))
+    bounds = [0, *cuts, total]
+    subsets = [
+        sv.CandidateSubset(f"S{j}", ids[lo:hi], rng.randint(1, hi - lo))
+        for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
+    prob = rng.random()
+    ballots = [frozenset(c for c in ids if rng.random() < prob) for _ in range(rng.randint(1, 12))]
+    names = [f"c{i}" for i in range(total)]
+    return sv.validate_instance(sv.ScvInstance(len(ballots), names, subsets, ballots))
+
+
+def test_maximize_reads_only_the_approver_masks():
+    rng = random.Random(27)
+    draws = [make() for make in (
+        fixtures.no_swjr_instance,
+        fixtures.axiom_split_instance,
+        fixtures.pav_vs_swjr_instance,
+        fixtures.swpav_vs_iwjr_instance,
+        fixtures.swpav_misses_iwjr_instance,
+        fixtures.iwpav_vs_weak_instance,
+    )]
+    draws += [interleaved_instance(rng) for _ in range(50)]
+    for inst in draws:
+        fresh = sv.ScvInstance(inst.num_voters, inst.candidate_names, inst.subsets, inst.ballots)
+        inst.approver_masks  # cached before the ballots go
+        object.__setattr__(inst, "ballots", Unreadable())
+        for variant in sv.VARIANTS:
+            got_w, got_score = sv.maximize(inst, variant)
+            want_w, want_score = sv.maximize(fresh, variant)
+            assert (got_w.members, got_score) == (want_w.members, want_score), variant
+
+
 def test_optima_keep_their_axiom_guarantees():
     rng = random.Random(25)
     for _ in range(100):
@@ -389,6 +435,11 @@ def test_budget_guard_reports_the_count():
     with pytest.raises(sv.BudgetExceeded) as excinfo:
         sv.maximize(inst, sv.IW_PAV, budget=10)
     assert excinfo.value.count == 58
+    inst = fixtures.swpav_vs_iwjr_instance()  # 2 * 2 * C(3, 2) = 12; per subset 2 + 2 + 3 = 7
+    for variant, count in ((sv.SW_PAV, 12), (sv.IW_PAV, 7)):
+        with pytest.raises(sv.BudgetExceeded) as excinfo:
+            sv.maximize(inst, variant, budget=6)
+        assert excinfo.value.count == count
 
 
 def test_unknown_variant_rejected():
