@@ -12,9 +12,10 @@ import json
 import math
 import random
 import sys
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, compress, product, repeat
+from itertools import combinations, compress, count, product, repeat
 from typing import Iterable, Iterator, Mapping, Optional, Sequence
 
 from .errors import (
@@ -60,9 +61,10 @@ class ScvInstance:
     Voters are ``0 .. num_voters-1``; candidates carry global ids
     ``0 .. num_candidates-1`` plus a display name per id.  ``subsets`` is the
     ordered candidate partition and ``ballots[i]`` the approval set of voter
-    ``i``.  Use :func:`validate_instance` (or the ``from_names`` /
-    ``parse_instance`` factories, which call it) before handing an instance
-    to any solver.
+    ``i``; an instance resolved from names holds :attr:`ballot_rows` and
+    decodes ``ballots`` from them when first read.  Use
+    :func:`validate_instance` (or the ``from_names`` / ``parse_instance``
+    factories, which call it) before handing an instance to any solver.
     """
 
     num_voters: int
@@ -104,27 +106,33 @@ class ScvInstance:
         return tuple(idx)
 
     @cached_property
+    def ballot_rows(self) -> tuple[int, ...]:
+        """Approvals of every voter as a candidate bitmask.
+
+        Bit c of ``ballot_rows[i]`` is set when voter i approves c.  An
+        instance resolved from names is built with these rows; one built
+        from ids derives them from its ballots.
+        """
+        return tuple(sum(map((1).__lshift__, ballot)) for ballot in self.ballots)
+
+    @cached_property
     def approver_masks(self) -> tuple[int, ...]:
         """Approvers of every candidate id as a voter bitmask.
 
-        Bit i of ``approver_masks[c]`` is set when voter i approves c.  Bits
-        are set on ints of at most 1,024 bits, one block of voters at a time,
-        and each block is then shifted into place: setting a bit on an int
-        that spans all voters would copy the whole int.
+        Bit i of ``approver_masks[c]`` is set when voter i approves c: the
+        masks are the bit transpose of :attr:`ballot_rows`, built by
+        :func:`_transpose` without a loop over the approvals.
         """
-        m = self.num_candidates
-        masks = [0] * m
-        for base in range(0, self.num_voters, 1024):
-            block = [0] * m
-            bit = 1
-            for ballot in self.ballots[base : base + 1024]:
-                for c in ballot:
-                    block[c] |= bit
-                bit <<= 1
-            for c, b in enumerate(block):
-                if b:
-                    masks[c] |= b << base
-        return tuple(masks)
+        return _transpose(self.ballot_rows, self.num_candidates)
+
+    def __getattr__(self, name):
+        # reached only for attributes the instance lacks: an instance resolved
+        # from names holds rows, not ballots, until something reads them
+        if name != "ballots" or "ballot_rows" not in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        ballots = _decode_rows(self.ballot_rows)
+        object.__setattr__(self, "ballots", ballots)
+        return ballots
 
     @cached_property
     def _id_by_name(self) -> dict[str, int]:
@@ -158,7 +166,8 @@ class ScvInstance:
         """Build and validate an instance from candidate names.
 
         ``subsets`` lists ``(subset name, candidate names, quota)`` triples;
-        global candidate ids are assigned in declaration order.  Raises
+        global candidate ids are assigned in declaration order, and a name
+        repeated within one ballot counts once.  Raises
         :class:`SemanticError` for duplicate or unknown names and the
         :class:`InvalidInstance` family for structural violations.
         """
@@ -177,17 +186,15 @@ class ScvInstance:
                 ids.append(len(names))
                 names.append(cand)
             built.append(CandidateSubset(sub_name, tuple(ids), quota))
-        id_of = {name: cid for cid, name in enumerate(names)}
-        resolved = []
-        for i, ballot in enumerate(ballots):
-            try:
-                resolved.append(frozenset(map(id_of.__getitem__, ballot)))
-            except KeyError as exc:
-                raise SemanticError(
-                    f"ballot {i} approves undeclared candidate {exc.args[0]!r}"
-                ) from None
-        inst = cls(num_voters, tuple(names), tuple(built), tuple(resolved))
-        return validate_instance(inst)
+        rows = _resolve_ballots({name: 1 << cid for cid, name in enumerate(names)}, ballots)
+        inst = cls.__new__(cls)
+        inst.__dict__.update(
+            num_voters=num_voters,
+            candidate_names=tuple(names),
+            subsets=tuple(built),
+            ballot_rows=rows,
+        )
+        return _validated(inst, None)
 
 
 def validate_instance(raw) -> ScvInstance:
@@ -202,17 +209,51 @@ def validate_instance(raw) -> ScvInstance:
     """
     if isinstance(raw, Mapping):
         return instance_from_document(raw)
-    inst = raw
+    return _validated(raw, raw.ballots)
+
+
+def _resolve_ballots(bit_of: Mapping[str, int], ballots) -> tuple[int, ...]:
+    """One candidate bitmask per ballot of names, ``bit_of[name]`` summed.
+
+    A name repeated within a ballot counts once.  Raises
+    :class:`SemanticError` naming the first ballot with an undeclared name.
+    """
+    ballots = list(ballots)
+    try:
+        sizes = list(map(len, ballots))
+    except TypeError:  # a ballot without a length, such as a generator
+        ballots = list(map(list, ballots))
+        sizes = list(map(len, ballots))
+    try:
+        rows = list(map(sum, map(map, repeat(bit_of.__getitem__), ballots)))
+    except KeyError as exc:
+        name = exc.args[0]  # the first ballot holding it is the one that failed
+        i = next(i for i, ballot in enumerate(ballots) if name in ballot)
+        raise SemanticError(f"ballot {i} approves undeclared candidate {name!r}") from None
+    # a sum of distinct bits has one bit per term: fewer means a repeated name
+    for i in compress(range(len(rows)), map(int.__ne__, map(int.bit_count, rows), sizes)):
+        rows[i] = sum(map(bit_of.__getitem__, set(ballots[i])))
+    return tuple(rows)
+
+
+def _decode_rows(rows: Iterable[int]) -> tuple[frozenset[int], ...]:
+    """The ballots of :attr:`ScvInstance.ballot_rows`, as id sets."""
+    return tuple(frozenset(compress(count(), _selectors(row))) for row in rows)
+
+
+def _validated(inst: ScvInstance, ballots) -> ScvInstance:
+    """:func:`validate_instance` on an instance with the given ballots, or,
+    with None, on one resolved from names: its ids are in range by
+    construction and it has one ballot per row."""
     problems: list[tuple[type, str]] = []  # (class, message), in check order
 
     if inst.num_voters < 1:
         problems.append((InvalidInstance, f"need at least one voter, got {inst.num_voters}"))
     if inst.num_subsets < 1:
         problems.append((InvalidInstance, "need at least one candidate subset"))
-    if len(inst.ballots) != inst.num_voters:
-        problems.append(
-            (InvalidInstance, f"expected {inst.num_voters} ballots, got {len(inst.ballots)}")
-        )
+    got = len(inst.ballot_rows if ballots is None else ballots)
+    if got != inst.num_voters:
+        problems.append((InvalidInstance, f"expected {inst.num_voters} ballots, got {got}"))
     if len(set(inst.candidate_names)) != len(inst.candidate_names):
         problems.append((InvalidInstance, "candidate names are not unique"))
     if len({s.name for s in inst.subsets}) != len(inst.subsets):
@@ -239,8 +280,8 @@ def validate_instance(raw) -> ScvInstance:
                                               f"needs 1 <= quota <= {sub.size}"))
 
     # test the distinct approved ids first; walk the ballots only to name them
-    if any(not 0 <= c < m for c in frozenset().union(*inst.ballots)):
-        for i, b in enumerate(inst.ballots):
+    if ballots is not None and any(not 0 <= c < m for c in frozenset().union(*ballots)):
+        for i, b in enumerate(ballots):
             bad = sorted(c for c in b if not 0 <= c < m)
             if bad:
                 problems.append(
@@ -277,8 +318,11 @@ class Committee:
             if not 0 <= c < inst.num_candidates:
                 problems.append(f"unknown candidate id {c}")
         if not problems:
-            for sub in inst.subsets:
-                got = len(members & frozenset(sub.members))
+            index = inst.subset_index
+            counts = [0] * (inst.num_subsets + 1)  # the spare slot takes ids in no subset
+            for c in members:
+                counts[index[c]] += 1
+            for sub, got in zip(inst.subsets, counts):
                 if got != sub.quota:
                     problems.append(
                         f"subset {sub.name!r} needs exactly {sub.quota} members, got {got}"
@@ -324,10 +368,51 @@ def iter_feasible_committees(inst: ScvInstance) -> Iterator[Committee]:
 _BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits as selector bytes
 
 
+def _selectors(mask: int) -> bytes:
+    """One byte per bit of ``mask``, bit 0 first: 1 where the bit is set."""
+    return bin(mask)[:1:-1].encode().translate(_BITS)
+
+
 def mask_voters(mask: int) -> list[int]:
     """Ids of the voters whose bits are set in ``mask``, ascending."""
-    bits = bin(mask)[:1:-1].encode().translate(_BITS)  # voter 0 first
-    return list(compress(range(len(bits)), bits))
+    return list(compress(count(), _selectors(mask)))
+
+
+def _swap_pattern(j: int) -> bytes:
+    """The delta-swap mask of one 64x64 block at distance ``j``, as 64
+    little-endian words: bit c of word r is set when c has bit ``j`` and r
+    has not."""
+    word = sum(1 << c for c in range(64) if c & j).to_bytes(8, "little")
+    return b"".join(bytes(8) if r & j else word for r in range(64))
+
+
+# (shift, 512-byte mask pattern) for the six swaps of a 64x64 transpose
+_SWAPS = tuple((63 * j, _swap_pattern(j)) for j in (32, 16, 8, 4, 2, 1))
+
+
+def _transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
+    """The ``width`` columns of the bit matrix whose row i is ``rows[i]``:
+    bit i of column c is bit c of ``rows[i]``.
+
+    The rows are written as little-endian 64-bit words, and the words of one
+    word column are packed 64 rows to a block into one int, so bit 64*i + c
+    holds bit c of row i.  Six delta swaps transpose every 64x64 block at
+    once; word c of each block then holds 64 bits of column c, and one
+    strided slice of the words collects them.  The words are only sliced,
+    never read as numbers, so the host's byte order does not matter.
+    """
+    size = -(-width // 64)  # words per row
+    blocks = -(-len(rows) // 64)
+    words = array("Q", b"".join(map(int.to_bytes, rows, repeat(8 * size), repeat("little"))))
+    columns = []
+    for w in range(size):
+        x = int.from_bytes(words[w::size], "little")
+        for shift, pattern in _SWAPS:
+            t = (x >> shift ^ x) & int.from_bytes(pattern * blocks, "little")
+            x ^= t ^ t << shift
+        out = array("Q", x.to_bytes(512 * blocks, "little"))
+        columns += [int.from_bytes(out[c::64], "little") for c in range(min(64, width - 64 * w))]
+    return tuple(columns)
 
 
 def best_supported(
@@ -423,7 +508,8 @@ def parse_instance(text: str) -> ScvInstance:
 
 
 def instance_to_document(inst: ScvInstance) -> dict:
-    """Canonical JSON-ready document: declaration order, sorted ballots."""
+    """Canonical JSON-ready document of a validated instance: declaration
+    order, sorted ballots, written from the rows without decoding them."""
     return {
         "voters": inst.num_voters,
         "subsets": [
@@ -435,8 +521,8 @@ def instance_to_document(inst: ScvInstance) -> dict:
             for sub in inst.subsets
         ],
         "ballots": [
-            sorted(inst.candidate_names[c] for c in ballot)
-            for ballot in inst.ballots
+            sorted(compress(inst.candidate_names, _selectors(row)))
+            for row in inst.ballot_rows
         ],
     }
 

@@ -53,6 +53,15 @@ def random_committee(rng: random.Random, inst: ScvInstance) -> Committee:
     return Committee.of(inst, members)
 
 
+class Unreadable:
+    """Stands in for an attribute of an instance and fails on any use."""
+
+    def refuse(self, *args):
+        raise AssertionError("an attribute set as unreadable was read")
+
+    __getattr__ = __iter__ = __len__ = __getitem__ = __contains__ = __bool__ = refuse
+
+
 def cover_exists(sc: SetCoverInstance) -> bool:
     """Independent oracle: try every selection of at most ``budget`` entries."""
     ground = frozenset(range(sc.ground_size))

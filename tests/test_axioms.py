@@ -6,7 +6,7 @@ import pytest
 
 import scvoting as sv
 from scvoting import axioms, fixtures
-from conftest import random_committee, random_instance
+from conftest import Unreadable, random_committee, random_instance
 
 
 def assert_witness_sound(inst, committee, verdict):
@@ -298,6 +298,20 @@ def test_oracle_rejects_every_deadlock_committee():
     inst = fixtures.no_swjr_instance()
     for w in sv.iter_feasible_committees(inst):
         assert not sv.brute_force_axiom(inst, w, sv.SW_JR).satisfied
+
+
+def test_oracle_reads_neither_the_rows_nor_the_masks():
+    rng = random.Random(31)
+    draws = [fixtures.axiom_split_instance(), fixtures.swpav_misses_iwjr_instance()]
+    draws += [random_instance(rng, max_voters=9) for _ in range(30)]
+    for inst in draws:
+        committee = random_committee(rng, inst)
+        want = [sv.brute_force_axiom(inst, committee, axiom) for axiom in sv.ALL_AXIOMS]
+        parsed = sv.parse_instance(sv.serialize_instance(inst))
+        parsed.ballots  # decoded before the rows go
+        object.__setattr__(parsed, "ballot_rows", Unreadable())
+        object.__setattr__(parsed, "approver_masks", Unreadable())
+        assert [sv.brute_force_axiom(parsed, committee, axiom) for axiom in sv.ALL_AXIOMS] == want
 
 
 def test_oracle_cap():

@@ -12,9 +12,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import scvoting as sv
-from scvoting import fixtures
+from scvoting import core, fixtures
 from scvoting.cli import run
-from conftest import random_instance
+from conftest import random_committee, random_instance
 from scvoting.core import mask_voters
 
 
@@ -218,6 +218,87 @@ def test_approver_masks_mirror_the_ballots():
     assert mask_voters((1 << 1024) | (1 << 64) | 1) == [0, 64, 1024]
 
 
+def _naive(names, ballots):
+    """Ids, rows and approver masks of name ballots, one name at a time."""
+    id_of = {name: cid for cid, name in enumerate(names)}
+    ids = tuple(frozenset(id_of[name] for name in ballot) for ballot in ballots)
+    rows = tuple(sum(1 << c for c in ballot) for ballot in ids)
+    masks = tuple(
+        sum(1 << i for i, ballot in enumerate(ids) if c in ballot) for c in range(len(names))
+    )
+    return ids, rows, masks
+
+
+# voter counts on either side of the 64-voter blocks and candidate counts on
+# either side of the 64-bit word columns of the transpose
+@pytest.mark.parametrize("voters", [1, 63, 64, 65, 1023, 1025, 2100])
+@pytest.mark.parametrize("candidates", [1, 64, 65, 130])
+@settings(max_examples=4, deadline=None)
+@given(density=st.sampled_from([0.0, 0.05, 0.3, 1.0]), seed=st.integers(0, 2**32 - 1))
+def test_rows_and_masks_match_a_naive_resolver(voters, candidates, density, seed):
+    rng = random.Random(seed)
+    # ids run in declaration order while the names sort otherwise, so the
+    # serializer's name order differs from id order
+    names = [f"c{(7 * c) % candidates}-{c}" for c in range(candidates)]
+    parts = min(3, candidates)
+    subsets = [(f"S{j}", names[j::parts], 1) for j in range(parts)]
+    names = [name for _, members, _ in subsets for name in members]  # in id order
+    ballots = []
+    for _ in range(voters):
+        ballot = [name for name in names if rng.random() < density]
+        if ballot and rng.random() < 0.2:
+            ballot += rng.choices(ballot, k=2)  # repeated names count once
+        rng.shuffle(ballot)
+        ballots.append([] if rng.random() < 0.1 else ballot)
+    ids, rows, masks = _naive(names, ballots)
+
+    inst = sv.ScvInstance.from_names(voters, subsets, ballots)
+    assert inst.ballot_rows == rows
+    assert inst.approver_masks == masks
+    assert inst.ballots == ids
+    by_ids = sv.validate_instance(sv.ScvInstance(voters, names, inst.subsets, ids))
+    assert by_ids.ballot_rows == rows
+    assert by_ids.approver_masks == masks
+
+    parsed = sv.parse_instance(sv.serialize_instance(inst))
+    assert "ballots" not in parsed.__dict__
+    assert hash(parsed) == hash(by_ids) == hash(inst)
+    assert parsed == by_ids == inst
+    assert parsed.approver_masks == masks
+
+
+def test_the_mask_paths_never_decode_the_ballots(monkeypatch):
+    decoded = []
+
+    def spy(rows):
+        decoded.append(rows)
+        return decode(rows)
+
+    decode = core._decode_rows
+    small = [make() for make in (fixtures.axiom_split_instance, fixtures.pav_vs_swjr_instance,
+                                 fixtures.swpav_misses_iwjr_instance)]
+    small.append(sv.generate_instance(sv.UniformModel(130, (4, 5), (2, 2), 0.3), 5))
+    large = sv.generate_instance(sv.UniformModel(3000, (30, 30, 20), (3, 3, 2), 0.1), 6)
+    texts = [sv.serialize_instance(inst) for inst in small + [large]]
+    monkeypatch.setattr(core, "_decode_rows", spy)
+    rng = random.Random(7)
+    for i, text in enumerate(texts):
+        inst = sv.parse_instance(text)
+        greedy, _ = sv.solve_greedy(inst)
+        for committee in (greedy, random_committee(rng, inst)):
+            for axiom in sv.ALL_AXIOMS:
+                sv.check_axiom(inst, committee, axiom)
+            sv.sw_pav_score(inst, committee)
+            sv.iw_pav_score(inst, committee)
+        if i < len(small):
+            for variant in sv.VARIANTS:
+                sv.maximize(inst, variant)
+            sv.sw_jr_exists(inst)
+        assert decoded == [] and "ballots" not in inst.__dict__
+    assert len(inst.ballots) == inst.num_voters  # the spy sits on the path that decodes
+    assert decoded == [inst.ballot_rows]
+
+
 def test_infeasible_committee_rejected():
     inst = fixtures.no_swjr_instance()
     with pytest.raises(sv.InfeasibleCommittee):
@@ -226,6 +307,25 @@ def test_infeasible_committee_rejected():
         sv.Committee.of(inst, [0])
     with pytest.raises(sv.InfeasibleCommittee):
         sv.Committee.of(inst, [0, 99])
+
+
+def test_committee_problems_keep_their_messages_and_order():
+    rng = random.Random(8)
+    for _ in range(200):
+        inst = random_instance(rng)
+        m = inst.num_candidates
+        members = frozenset(rng.sample(range(m), rng.randint(0, m)))
+        want = [
+            f"subset {sub.name!r} needs exactly {sub.quota} members, got {got}"
+            for sub in inst.subsets
+            if (got := len(members & frozenset(sub.members))) != sub.quota
+        ]
+        if not want:
+            assert sv.Committee.of(inst, members).members == members
+            continue
+        with pytest.raises(sv.InfeasibleCommittee) as excinfo:
+            sv.Committee.of(inst, members)
+        assert str(excinfo.value) == "; ".join(want)
 
 
 # -- JSON round trips --------------------------------------------------------------
@@ -408,6 +508,19 @@ def test_ballot_diagnostics_keep_their_class_and_order(subsets, ballots, voters,
         sv.parse_instance(json.dumps(doc))
     assert type(excinfo.value) is kind
     assert str(excinfo.value) == message
+
+
+def test_a_name_repeated_within_a_ballot_counts_once():
+    doc = {"voters": 3, "subsets": AB, "ballots": [["a", "a"], ["b", "a", "b"], []]}
+    inst = sv.parse_instance(json.dumps(doc))
+    assert inst.ballots == (frozenset({0}), frozenset({0, 1}), frozenset())
+    assert inst.ballot_rows == (0b01, 0b11, 0)
+    assert inst.approver_masks == (0b011, 0b010)
+    assert inst == sv.ScvInstance.from_names(3, [("C1", ["a", "b"], 1)], [["a"], ["a", "b"], []])
+    # ballots without a length resolve the same way
+    assert inst == sv.ScvInstance.from_names(
+        3, [("C1", ["a", "b"], 1)], (iter(b) for b in doc["ballots"])
+    )
 
 
 names = st.text(alphabet="abcxyz'_0123456789", min_size=1, max_size=4)

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 import scvoting as sv
 from scvoting import fixtures
 from scvoting.cli import run
-from conftest import random_committee, random_instance
+from conftest import Unreadable, random_committee, random_instance
 
 
 # -- the oracle: plain rational sums, sharing no code with scvoting.pav -------------
@@ -357,15 +357,6 @@ def test_maximize_matches_the_oracle_across_mask_word_boundaries(inst):
         got_w, got_score = sv.maximize(inst, variant)
         want_w, want_score = lexmin_argmax(inst, variant)
         assert (got_w.sorted_members, got_score) == (want_w.sorted_members, want_score), variant
-
-
-class Unreadable:
-    """Stands in for an instance's ballots and fails on any use."""
-
-    def refuse(self, *args):
-        raise AssertionError("the ballots were read")
-
-    __getattr__ = __iter__ = __len__ = __getitem__ = __contains__ = __bool__ = refuse
 
 
 def interleaved_instance(rng):
