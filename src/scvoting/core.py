@@ -388,6 +388,8 @@ def _swap_pattern(j: int) -> bytes:
 
 # (shift, 512-byte mask pattern) for the six swaps of a 64x64 transpose
 _SWAPS = tuple((63 * j, _swap_pattern(j)) for j in (32, 16, 8, 4, 2, 1))
+# the same swaps with the mask of one block as an int
+_ONE_BLOCK_SWAPS = tuple((shift, int.from_bytes(pattern, "little")) for shift, pattern in _SWAPS)
 
 
 def _transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
@@ -404,11 +406,14 @@ def _transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
     size = -(-width // 64)  # words per row
     blocks = -(-len(rows) // 64)
     words = array("Q", b"".join(map(int.to_bytes, rows, repeat(8 * size), repeat("little"))))
+    swaps = _ONE_BLOCK_SWAPS if blocks == 1 else [
+        (shift, int.from_bytes(pattern * blocks, "little")) for shift, pattern in _SWAPS
+    ]
     columns = []
     for w in range(size):
         x = int.from_bytes(words[w::size], "little")
-        for shift, pattern in _SWAPS:
-            t = (x >> shift ^ x) & int.from_bytes(pattern * blocks, "little")
+        for shift, mask in swaps:
+            t = (x >> shift ^ x) & mask
             x ^= t ^ t << shift
         out = array("Q", x.to_bytes(512 * blocks, "little"))
         columns += [int.from_bytes(out[c::64], "little") for c in range(min(64, width - 64 * w))]

@@ -9,10 +9,13 @@ the unrepresented voters with a non-empty ballot as a Python-int bitmask:
 choosing c maps the mask ``unrep`` to ``unrep & ~approvers[c]``, where
 ``approvers`` is ``inst.approver_masks`` (bit i set when voter i approves c).
 
+The walk itself keeps every subset fillable: a node tries only the ids up
+to the ``need[j]``-th last member of each open subset j, since a child past
+that leaves subset j with fewer members than open slots.  Every child it
+enters has room, so no node is cut for lack of it.
+
 Two exact rules cut a branch before it is walked:
 
-* *Quota room*: some subset has more open slots than members left at or
-  after the current position.
 * *Coverage capacity*: let t = ceil(n/k).  A committee satisfies the axiom
   iff every candidate keeps at most t - 1 unrepresented supporters, so
   every group of voters that needs a representative must get enough of
@@ -28,6 +31,13 @@ Two exact rules cut a branch before it is walked:
   with |S_c| >= t, and the branch is cut when the capacity is below
   |S_c| - t + 1.  A voter none of the remaining candidates can represent
   counts against the capacity, so a dead ballot ends a branch as well.
+* *Packing* (t == 1 only, after the capacity test): take the lowest
+  unrepresented voter, drop every voter that shares a remaining coverer
+  (an approved candidate at or after the position in an open subset) with
+  it, and repeat.  No member represents two of the voters taken, so the
+  branch is cut when they outnumber the open slots.  A voter's coverers
+  are its ballot row masked by the open ids, so each voter taken costs
+  its coverers, not a pass over the candidates.
 
 Every accepted leaf is re-verified with ``check_sw_jr``, so a returned
 committee always satisfies the axiom.  A rule that cuts too eagerly still
@@ -71,14 +81,17 @@ class SearchStats:
 
     ``nodes`` counts the search nodes entered (root, inner nodes and
     leaves), ``leaves`` the complete committees re-verified with
-    ``check_sw_jr``, and ``pruned_quota`` / ``pruned_capacity`` the nodes
-    cut by each prune rule.
+    ``check_sw_jr``, and ``pruned_capacity`` / ``pruned_packing`` the nodes
+    cut by each prune rule.  ``pruned_quota`` always reads 0: the walk
+    enters only children that leave every subset enough members, so no
+    node is cut for lack of quota room.
     """
 
     nodes: int = 0
     leaves: int = 0
     pruned_quota: int = 0
     pruned_capacity: int = 0
+    pruned_packing: int = 0
 
 
 def sw_jr_exists(
@@ -102,7 +115,9 @@ def sw_jr_exists(
     t = -(-inst.num_voters // inst.committee_size)
     subset_of = inst.subset_index
     members = [tuple(sorted(sub.members)) for sub in inst.subsets]
+    member_bits = [sum(1 << c for c in ids) for ids in members]
     approvers = inst.approver_masks
+    rows = inst.ballot_rows
     voiced = 0
     for mask in approvers:
         voiced |= mask
@@ -131,6 +146,29 @@ def sw_jr_exists(
                 return True
         return False
 
+    def overpacked(pos: int, need: list[int], unrep: int) -> bool:
+        """More unrepresented voters need pairwise distinct members than
+        there are open slots (t == 1, after the capacity test)."""
+        open_ids = 0
+        for left, bits in zip(need, member_bits):
+            if left:
+                open_ids |= bits
+        open_ids = open_ids >> pos << pos
+        slots = sum(need)
+        while unrep:
+            slots -= 1
+            if slots < 0:
+                return True
+            # drop the lowest voter and every voter sharing a remaining
+            # coverer with it; the capacity test has cut dead voters, so the
+            # lowest voter approves one of its coverers and is dropped too
+            coverers = rows[(unrep & -unrep).bit_length() - 1] & open_ids
+            while coverers:
+                low = coverers & -coverers
+                unrep &= ~approvers[low.bit_length() - 1]
+                coverers ^= low
+        return False
+
     # one entry per open node on the path: an iterator over the candidate
     # ids left to try below it, its unrepresented voters, and the member
     # picked there (-1 before the first pick), so ``chosen`` holds the
@@ -148,15 +186,15 @@ def sw_jr_exists(
             committee = Committee(frozenset(chosen))
             if check_sw_jr(inst, committee).satisfied:
                 return committee
-        elif any(
-            left > len(ids) - bisect_left(ids, pos)
-            for left, ids in zip(need, members)
-        ):
-            stats.pruned_quota += 1
         elif hopeless(pos, need, unrep):
             stats.pruned_capacity += 1
+        elif t == 1 and overpacked(pos, need, unrep):
+            stats.pruned_packing += 1
         else:
-            walks.append(iter(range(pos, m)))
+            # past the need[j]-th last member of an open subset j, that
+            # subset would lack the members to fill its slots
+            stop = min(ids[-left] for left, ids in zip(need, members) if left) + 1
+            walks.append(iter(range(pos, stop)))
             unreps.append(unrep)
             chosen.append(-1)
         # move to the next child of the deepest open node

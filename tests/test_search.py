@@ -149,6 +149,9 @@ def search_instances(draw):
 )
 @example(deadlock(1))
 @example(deadlock(3, mirrored=True, spare=1))
+# t == 1; the packing cut refutes the branch that takes the entry {1} first,
+# and the least answer has exactly as many voters to pack as open slots
+@example(sv.encode_set_cover(sv.SetCoverInstance.of(5, [{1}, {0, 1, 4}, {3, 4}, {2}], 3)))
 def test_search_matches_the_oracles_in_both_regimes(inst):
     want = lexmin_passing(inst)
     assert (exhaustive_sw_jr(inst) is None) == (want is None)
@@ -206,10 +209,13 @@ def test_search_stats_are_deterministic_and_change_nothing(build):
     assert sv.sw_jr_exists(build(), stats=second) == plain
     assert first == second
     assert first.nodes >= 1
-    assert first.nodes >= first.leaves + first.pruned_quota + first.pruned_capacity
+    assert first.nodes >= (
+        first.leaves + first.pruned_quota + first.pruned_capacity + first.pruned_packing
+    )
     sv.sw_jr_exists(inst, stats=first)  # a second call adds to the counts
     assert first.nodes == 2 * second.nodes
     assert first.pruned_capacity == 2 * second.pruned_capacity
+    assert first.pruned_packing == 2 * second.pruned_packing
 
 
 def test_search_budget_guard():
@@ -280,6 +286,30 @@ def test_exact_fit_cover_survives_the_capacity_prune():
     assert sorted(sorted(sc.collection[j]) for j in chosen) == [[0, 1], [2, 3], [4, 5], [6, 7]]
 
 
+def test_packing_refutes_a_cover_the_capacity_allows():
+    # budget 2: the best two entries reach all six voters, so the capacity
+    # test passes, but voters 0, 4 and 5 share no entry and need three
+    sc = sv.SetCoverInstance.of(6, [{0, 1, 2, 3}, {2, 3, 4}, {5}], 2)
+    stats = sv.SearchStats()
+    assert sv.sw_jr_exists(sv.encode_set_cover(sc), stats=stats) is None
+    # the root and the forced a1..a6 chain, whose last node is cut; backing
+    # out enters nothing, since each chain node has a single child with
+    # quota room (a walk entering every later id, and cutting those without
+    # room, visits 43 nodes)
+    assert stats == sv.SearchStats(nodes=7, pruned_packing=1)
+
+
+def test_random_ground_30_cover_is_refuted_in_few_nodes():
+    # the worst of seeds 1-8 for this model; its 18,643,560 feasible
+    # committees exceed the default budget, and without the packing cut and
+    # the room-bounded walk the search visits 105,604 nodes
+    sc = sv.generate_set_cover(sv.SetCoverModel(30, 40, 0.12, 7), 5)
+    stats = sv.SearchStats()
+    found = sv.sw_jr_exists(sv.encode_set_cover(sc), budget=10**12, stats=stats)
+    assert found is None
+    assert stats == sv.SearchStats(nodes=7921, pruned_capacity=6367, pruned_packing=1174)
+
+
 def test_no_cover_means_no_committee():
     sc = sv.SetCoverInstance.of(3, [{0}, {1}, {2}], budget=2)
     assert not cover_exists(sc)
@@ -338,7 +368,9 @@ def cover_questions(draw):
 @settings(max_examples=300, deadline=None)
 @given(cover_questions())
 def test_encoded_covers_match_the_cover_oracle(sc):
-    committee = sv.sw_jr_exists(sv.encode_set_cover(sc))
+    encoded = sv.encode_set_cover(sc)
+    committee = sv.sw_jr_exists(encoded)
     assert (committee is not None) == cover_exists(sc)
     if committee is not None:
         assert len(sv.decode_committee_to_cover(sc, committee)) <= sc.budget
+        assert committee.sorted_members == lexmin_passing(encoded)
