@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from functools import cache
 
 from . import axioms, greedy, pav, search
 from .core import (
@@ -114,11 +115,16 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    # parsing leaves the parser unchanged, so one serves every call of run
+    return build_parser()
+
+
 def run(argv) -> int:
     """Execute one invocation; returns the exit code instead of exiting."""
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -9,6 +9,12 @@ the unrepresented voters with a non-empty ballot as a Python-int bitmask:
 choosing c maps the mask ``unrep`` to ``unrep & ~approvers[c]``, where
 ``approvers`` is ``inst.approver_masks`` (bit i set when voter i approves c).
 
+A subset whose quota equals its size lies whole in every feasible committee.
+Such a forced subset is taken before the walk: its approvers leave
+``unrep``, its ``need`` is 0, and its members join the committee at the
+leaf, so the walk and the rules below never visit it.  Adding the same
+members to every committee keeps the lexicographic order of the rest.
+
 The walk itself keeps every subset fillable: a node tries only the ids up
 to the ``need[j]``-th last member of each open subset j, since a child past
 that leaves subset j with fewer members than open slots.  Every child it
@@ -39,10 +45,14 @@ Two exact rules cut a branch before it is walked:
   are its ballot row masked by the open ids, so each voter taken costs
   its coverers, not a pass over the candidates.
 
-Every accepted leaf is re-verified with ``check_sw_jr``, so a returned
-committee always satisfies the axiom.  A rule that cuts too eagerly still
-loses answers: the search then returns None or a committee that is not the
-least.  ``test_search_matches_the_oracles_in_both_regimes`` and
+The capacity rule also runs at a leaf, where no slot is open and the rule
+is the axiom itself: ``unrep`` must be 0 when t == 1, and no candidate may
+keep t or more unrepresented supporters when t >= 2.  Only a leaf that
+passes it is accepted, and every accepted leaf is re-verified with
+``check_sw_jr``, so a returned committee always satisfies the axiom.  A
+rule that cuts too eagerly still loses answers: the search then returns
+None or a committee that is not the least.
+``test_search_matches_the_oracles_in_both_regimes`` and
 ``test_search_agrees_with_exhaustive_enumeration`` check the rules against
 the oracles.  The first accepted leaf in this order is the
 lexicographically least satisfying committee, which is what the search
@@ -80,11 +90,15 @@ class SearchStats:
     """Work done by :func:`sw_jr_exists`; each call adds to the counts.
 
     ``nodes`` counts the search nodes entered (root, inner nodes and
-    leaves), ``leaves`` the complete committees re-verified with
-    ``check_sw_jr``, and ``pruned_capacity`` / ``pruned_packing`` the nodes
-    cut by each prune rule.  ``pruned_quota`` always reads 0: the walk
-    enters only children that leave every subset enough members, so no
-    node is cut for lack of quota room.
+    leaves); the members of forced subsets (quota equal to size) are taken
+    before the walk and take no node.  ``leaves`` counts the complete
+    committees that pass the capacity rule and are re-verified with
+    ``check_sw_jr``: such a leaf satisfies the axiom and ends the search, so
+    there is at most one per call.  ``pruned_capacity`` / ``pruned_packing``
+    count the nodes cut by each prune rule, leaves cut by the capacity rule
+    among them.  ``pruned_quota`` always reads 0: the walk enters only
+    children that leave every subset enough members, so no node is cut for
+    lack of quota room.
     """
 
     nodes: int = 0
@@ -118,9 +132,6 @@ def sw_jr_exists(
     member_bits = [sum(1 << c for c in ids) for ids in members]
     approvers = inst.approver_masks
     rows = inst.ballot_rows
-    voiced = 0
-    for mask in approvers:
-        voiced |= mask
 
     def capacity(pos: int, need: list[int], group: int) -> int:
         """Most voters of ``group`` the open slots can still represent."""
@@ -169,25 +180,35 @@ def sw_jr_exists(
                 coverers ^= low
         return False
 
+    # voters with an empty ballot never count against the axiom
+    unrep = 0
+    for mask in approvers:
+        unrep |= mask
+    # a subset whose quota equals its size lies whole in every feasible
+    # committee, so it is taken before the walk and never visited by it
+    need = list(inst.quotas)
+    forced = [c for j, ids in enumerate(members) if need[j] == len(ids) for c in ids]
+    for c in forced:
+        need[subset_of[c]] = 0
+        unrep &= ~approvers[c]
     # one entry per open node on the path: an iterator over the candidate
     # ids left to try below it, its unrepresented voters, and the member
     # picked there (-1 before the first pick), so ``chosen`` holds the
     # members of the path
-    need = list(inst.quotas)
     walks: list[Iterator[int]] = []
     unreps: list[int] = []
     chosen: list[int] = []
-    # voters with an empty ballot never count against the axiom
-    pos, unrep = 0, voiced
+    pos = 0
     while True:
         stats.nodes += 1
-        if not any(need):
+        if hopeless(pos, need, unrep):
+            stats.pruned_capacity += 1
+        elif not any(need):
+            # with no open slot the capacity rule is the axiom itself
             stats.leaves += 1
-            committee = Committee(frozenset(chosen))
+            committee = Committee(frozenset(forced + chosen))
             if check_sw_jr(inst, committee).satisfied:
                 return committee
-        elif hopeless(pos, need, unrep):
-            stats.pruned_capacity += 1
         elif t == 1 and overpacked(pos, need, unrep):
             stats.pruned_packing += 1
         else:

@@ -226,6 +226,21 @@ def test_gen_party_list_blocks(tmp_path, capsys):
     assert inst.ballots[0] == inst.ballots[1]
 
 
+def test_repeated_calls_share_no_parsed_state(capsys):
+    # run reuses one parser; repeatable options must not carry over
+    argv = [
+        "gen", "--model", "party-list", "--seed", "0",
+        "--subset", "C1:1:x,y", "--subset", "C2:1:u,v",
+        "--block", "2:x,u", "--block", "1:y",
+    ]
+    assert run(argv) == 0
+    first = capsys.readouterr().out
+    assert run(argv) == 0
+    assert capsys.readouterr().out == first
+    assert sv.parse_instance(first).num_subsets == 2
+    assert run(["gen", "--model", "party-list", "--seed", "0", "--nope"]) == 1
+
+
 def test_gen_missing_params_is_usage_error(capsys):
     assert run(["gen", "--model", "uniform", "--seed", "1"]) == 1
     assert run(["gen", "--model", "party-list", "--seed", "1"]) == 1

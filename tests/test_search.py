@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scvoting as sv
-from scvoting import fixtures
+from scvoting import fixtures, search
 from conftest import cover_exists, random_instance
 
 FIXTURES = [
@@ -43,6 +43,18 @@ def all_pairs(ground, budget):
     """Demo 04's family: every pair of a ground set of the given size."""
     pairs = [frozenset(pair) for pair in combinations(range(ground), 2)]
     return sv.SetCoverInstance.of(ground, pairs, budget)
+
+
+def partitioned(groups, ballots):
+    """Instance on candidates c0, c1, ... split into (ids, quota) subsets,
+    whose ids may interleave; ``ballots`` are sets of candidate ids."""
+    subsets = [sv.CandidateSubset(f"S{j}", ids, quota) for j, (ids, quota) in enumerate(groups)]
+    names = [f"c{i}" for i in range(sum(len(ids) for ids, _ in groups))]
+    return sv.validate_instance(sv.ScvInstance(len(ballots), names, subsets, ballots))
+
+
+# the forced subset {1, 2} lies between the ids of the open {0, 4} and {3, 5}
+AROUND_FORCED = [((0, 4), 1), ((1, 2), 2), ((3, 5), 1)]
 
 
 def deadlock(scale, mirrored=False, spare=0):
@@ -126,11 +138,8 @@ def search_instances(draw):
     ids = draw(st.permutations(range(total)))
     cuts = draw(st.sets(st.integers(1, total - 1), max_size=2)) if total > 1 else set()
     bounds = [0, *sorted(cuts), total]
-    subsets = [
-        sv.CandidateSubset(f"S{j}", ids[lo:hi], draw(st.integers(1, hi - lo)))
-        for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
-    ]
-    k = sum(sub.quota for sub in subsets)
+    quotas = [draw(st.integers(1, hi - lo)) for lo, hi in zip(bounds, bounds[1:])]
+    k = sum(quotas)
     voters = draw(st.integers(1, k) | st.integers(k + 1, 3 * k + 2))
     ballot = st.frozensets(st.integers(0, total - 1), max_size=3)
     if draw(st.booleans()):
@@ -138,8 +147,7 @@ def search_instances(draw):
         ballots = [draw(st.sampled_from(kinds)) for _ in range(voters)]
     else:
         ballots = [draw(ballot) for _ in range(voters)]
-    names = [f"c{i}" for i in range(total)]
-    return sv.validate_instance(sv.ScvInstance(voters, names, subsets, ballots))
+    return partitioned([(ids[lo:hi], q) for lo, hi, q in zip(bounds, bounds[1:], quotas)], ballots)
 
 
 @settings(max_examples=300, deadline=None)
@@ -152,11 +160,32 @@ def search_instances(draw):
 # t == 1; the packing cut refutes the branch that takes the entry {1} first,
 # and the least answer has exactly as many voters to pack as open slots
 @example(sv.encode_set_cover(sv.SetCoverInstance.of(5, [{1}, {0, 1, 4}, {3, 4}, {2}], 3)))
+# t == 1; voter 0 is represented only by the forced c1
+@example(partitioned(AROUND_FORCED, [{1}, {4}, {3}, {1, 5}]))
+# t == 2; the forced c1 represents voters 0 and 1, so c5 keeps no supporter
+# and S2's one slot goes to c3
+@example(partitioned(AROUND_FORCED, [{1, 5}, {1, 5}, {3}, {3}, {4}, {4}, {0, 2}, {0}]))
+# every subset is forced, so the root is the leaf
+@example(partitioned([((0, 2), 2), ((1,), 1)], [{1}, {0, 2}, set()]))
 def test_search_matches_the_oracles_in_both_regimes(inst):
     want = lexmin_passing(inst)
     assert (exhaustive_sw_jr(inst) is None) == (want is None)
     found = sv.sw_jr_exists(inst)
     assert (None if found is None else found.sorted_members) == want
+
+
+def test_every_returned_committee_is_verified_by_the_checker(monkeypatch):
+    verified = []
+
+    def checker(inst, committee):
+        verified.append(committee)
+        return sv.check_sw_jr(inst, committee)
+
+    monkeypatch.setattr(search, "check_sw_jr", checker)
+    inst = partitioned(AROUND_FORCED, [{1}, {4}, {3}, {1, 5}])
+    found = sv.sw_jr_exists(inst)
+    assert inst.names_of(found.members) == ("c1", "c2", "c3", "c4")
+    assert verified == [found]
 
 
 def test_capacity_equal_to_the_shortfall_does_not_prune():
@@ -189,9 +218,23 @@ def test_a_dead_ballot_ends_its_branch_at_once():
 
 
 def test_a_committee_with_thousands_of_seats_is_found():
-    # one feasible committee, 1,200 levels deep: one node per seat plus the root
+    # one feasible committee of 1,200 seats: the subset is taken whole before
+    # the walk, so the root is the leaf
     inst = sv.ScvInstance.from_names(
         2, [("C", [f"x{i}" for i in range(1200)], 1200)], [["x0"], []]
+    )
+    stats = sv.SearchStats()
+    found = sv.sw_jr_exists(inst, stats=stats)
+    assert found is not None
+    assert found.sorted_members == tuple(range(1200))
+    assert stats == sv.SearchStats(nodes=1, leaves=1)
+
+
+def test_a_walk_a_thousand_levels_deep_is_found():
+    # 1,200 of 1,201 seats: the least committee is the first path walked, one
+    # node per seat plus the root, all on the explicit stack
+    inst = sv.ScvInstance.from_names(
+        2, [("C", [f"x{i}" for i in range(1201)], 1200)], [["x0"], []]
     )
     stats = sv.SearchStats()
     found = sv.sw_jr_exists(inst, stats=stats)
@@ -292,11 +335,8 @@ def test_packing_refutes_a_cover_the_capacity_allows():
     sc = sv.SetCoverInstance.of(6, [{0, 1, 2, 3}, {2, 3, 4}, {5}], 2)
     stats = sv.SearchStats()
     assert sv.sw_jr_exists(sv.encode_set_cover(sc), stats=stats) is None
-    # the root and the forced a1..a6 chain, whose last node is cut; backing
-    # out enters nothing, since each chain node has a single child with
-    # quota room (a walk entering every later id, and cutting those without
-    # room, visits 43 nodes)
-    assert stats == sv.SearchStats(nodes=7, pruned_packing=1)
+    # a1..a6 are taken before the walk, so the root is cut
+    assert stats == sv.SearchStats(nodes=1, pruned_packing=1)
 
 
 def test_random_ground_30_cover_is_refuted_in_few_nodes():
@@ -307,7 +347,7 @@ def test_random_ground_30_cover_is_refuted_in_few_nodes():
     stats = sv.SearchStats()
     found = sv.sw_jr_exists(sv.encode_set_cover(sc), budget=10**12, stats=stats)
     assert found is None
-    assert stats == sv.SearchStats(nodes=7921, pruned_capacity=6367, pruned_packing=1174)
+    assert stats == sv.SearchStats(nodes=7891, pruned_capacity=6367, pruned_packing=1174)
 
 
 def test_no_cover_means_no_committee():
