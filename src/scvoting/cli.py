@@ -175,6 +175,13 @@ def _write(path: str, text: str):
             handle.write(text)
 
 
+def _write_instance(args, inst) -> int:
+    _write(args.output, serialize_instance(inst))
+    if args.output != "-" and not args.quiet and not args.json:
+        print(f"wrote {args.output}")
+    return EXIT_OK
+
+
 def _load_instance(path: str) -> ScvInstance:
     return parse_instance(_read(path))
 
@@ -301,16 +308,8 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
 
 def _cmd_gen(args) -> int:
     if args.model == "uniform":
-        missing = [
-            flag
-            for flag, value in (
-                ("--voters", args.voters),
-                ("--sizes", args.sizes),
-                ("--quotas", args.quotas),
-                ("--p", args.p),
-            )
-            if value is None
-        ]
+        missing = [f"--{name}" for name in ("voters", "sizes", "quotas", "p")
+                   if getattr(args, name) is None]
         if missing:
             raise _UsageError(f"uniform model requires {', '.join(missing)}")
         model = UniformModel(
@@ -341,20 +340,12 @@ def _cmd_gen(args) -> int:
             except ValueError:
                 raise _UsageError(f"bad --block {spec!r}, expected COUNT:c1,c2")
         model = PartyListModel(subsets=tuple(subsets), blocks=tuple(blocks))
-    inst = generate_instance(model, args.seed)
-    _write(args.output, serialize_instance(inst))
-    if args.output != "-" and not args.quiet and not args.json:
-        print(f"wrote {args.output}")
-    return EXIT_OK
+    return _write_instance(args, generate_instance(model, args.seed))
 
 
 def _cmd_encode_setcover(args) -> int:
     sc = parse_set_cover(_read(args.setcover))
-    inst = search.encode_set_cover(sc)
-    _write(args.output, serialize_instance(inst))
-    if args.output != "-" and not args.quiet and not args.json:
-        print(f"wrote {args.output}")
-    return EXIT_OK
+    return _write_instance(args, search.encode_set_cover(sc))
 
 
 if __name__ == "__main__":

@@ -202,10 +202,12 @@ def validate_instance(raw) -> ScvInstance:
 
     ``raw`` is either an :class:`ScvInstance` built programmatically or a
     parsed JSON document (mapping).  All violations are collected before
-    raising; the exception class matches the first violation found
+    raising.  An instance raises the class of the first violation found
     (:class:`QuotaInfeasible`, :class:`PartitionBroken`, or
     :class:`BadBallot`, with plain :class:`InvalidInstance` for structural
-    problems such as ``n < 1``).
+    problems such as ``n < 1``).  A mapping raises :class:`ParseError` when
+    malformed and :class:`SemanticError` otherwise, listing any violations
+    above in ``.problems`` (see :func:`instance_from_document`).
     """
     if isinstance(raw, Mapping):
         return instance_from_document(raw)
@@ -378,18 +380,15 @@ def mask_voters(mask: int) -> list[int]:
     return list(compress(count(), _selectors(mask)))
 
 
-def _swap_pattern(j: int) -> bytes:
-    """The delta-swap mask of one 64x64 block at distance ``j``, as 64
-    little-endian words: bit c of word r is set when c has bit ``j`` and r
-    has not."""
-    word = sum(1 << c for c in range(64) if c & j).to_bytes(8, "little")
-    return b"".join(bytes(8) if r & j else word for r in range(64))
+def _swap_mask(j: int) -> int:
+    """The delta-swap mask of one 64x64 block at distance ``j``: bit c of
+    word r, bit 64*r + c, is set when c has bit ``j`` and r has not."""
+    word = sum(1 << c for c in range(64) if c & j)
+    return sum(word << 64 * r for r in range(64) if not r & j)
 
 
-# (shift, 512-byte mask pattern) for the six swaps of a 64x64 transpose
-_SWAPS = tuple((63 * j, _swap_pattern(j)) for j in (32, 16, 8, 4, 2, 1))
-# the same swaps with the mask of one block as an int
-_ONE_BLOCK_SWAPS = tuple((shift, int.from_bytes(pattern, "little")) for shift, pattern in _SWAPS)
+# (shift, one-block mask) for the six swaps of a 64x64 transpose
+_SWAPS = tuple((63 * j, _swap_mask(j)) for j in (32, 16, 8, 4, 2, 1))
 
 
 def _transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
@@ -406,8 +405,9 @@ def _transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
     size = -(-width // 64)  # words per row
     blocks = -(-len(rows) // 64)
     words = array("Q", b"".join(map(int.to_bytes, rows, repeat(8 * size), repeat("little"))))
-    swaps = _ONE_BLOCK_SWAPS if blocks == 1 else [
-        (shift, int.from_bytes(pattern * blocks, "little")) for shift, pattern in _SWAPS
+    swaps = _SWAPS if blocks == 1 else [
+        (shift, int.from_bytes(mask.to_bytes(512, "little") * blocks, "little"))
+        for shift, mask in _SWAPS
     ]
     columns = []
     for w in range(size):

@@ -30,7 +30,7 @@ sorted member-id tuple is lexicographically least.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import reduce
 from math import comb, lcm, prod
 from operator import or_
 from typing import Iterable, Sequence
@@ -45,7 +45,6 @@ VARIANTS = (SW_PAV, IW_PAV)
 DEFAULT_MAXIMIZE_BUDGET = 10_000_000
 
 
-@lru_cache(maxsize=16)
 def _scaled_harmonics(c_max: int) -> tuple[int, tuple[int, ...]]:
     """``(L, table)`` with L = lcm(1..c_max) and ``table[j] == L * H(j)``
     for every j <= c_max."""
@@ -60,8 +59,8 @@ def harmonic(j: int) -> Fraction:
     """The j-th harmonic number as an exact rational; ``harmonic(0) == 0``."""
     if j < 0:
         raise ValueError(f"harmonic undefined for negative {j}")
-    scale, table = _scaled_harmonics(j)
-    return Fraction(table[j], scale)
+    scale = lcm(*range(1, j + 1))
+    return Fraction(sum(scale // i for i in range(1, j + 1)), scale)
 
 
 def _count_classes(masks: Sequence[int], scope: Iterable[int]) -> list[tuple[int, int]]:

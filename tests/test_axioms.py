@@ -320,6 +320,13 @@ def test_oracle_cap():
         sv.brute_force_axiom(inst, next(sv.iter_feasible_committees(inst)), sv.SW_JR)
 
 
+@pytest.mark.parametrize("check", [sv.check_axiom, sv.brute_force_axiom])
+def test_unknown_axiom_is_a_value_error(check):
+    inst = fixtures.no_swjr_instance()
+    with pytest.raises(ValueError, match="unknown axiom 'pjr'"):
+        check(inst, next(sv.iter_feasible_committees(inst)), "pjr")
+
+
 def test_empty_profile_satisfies_everything():
     inst = sv.ScvInstance.from_names(
         2, [("C1", ["x", "y"], 1), ("C2", ["z"], 1)], [[], []]

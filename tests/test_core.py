@@ -194,8 +194,12 @@ def test_committee_count_matches_enumeration():
     assert sv.count_feasible_committees(inst) == expected
     committees = {w.members for w in sv.iter_feasible_committees(inst)}
     assert len(committees) == expected
-    for w in committees:
-        sv.Committee.of(inst, w)  # all feasible
+    for members in committees:
+        w = sv.Committee.of(inst, members)  # all feasible
+        assert list(w) == list(w.sorted_members)
+        assert len(w) == inst.committee_size
+        assert all(c in w for c in members)
+        assert not any(c in w for c in range(inst.num_candidates) if c not in members)
 
 
 def test_approver_masks_mirror_the_ballots():
@@ -484,6 +488,8 @@ ENTRY = "ballot entry {} must be a list of candidate names"
         (AB_AND_A_AGAIN, [["a"], [7]], 2, sv.ParseError, ENTRY.format(1)),
         (AB_AND_A_AGAIN, [["ghost"], ["a"]], 2, sv.SemanticError,
          "candidate name 'a' declared twice (in 'C1' and 'C2')"),
+        ([{"name": "C1", "candidates": ["a", 7], "quota": 1}], [["a"]], 1, sv.ParseError,
+         "subset entry 0 field 'candidates' must list strings"),
     ],
     ids=[
         "non-list-after-unknown-name",
@@ -500,6 +506,7 @@ ENTRY = "ballot entry {} must be a list of candidate names"
         "unknown-name-and-wrong-ballot-count",
         "duplicate-names-and-bad-ballot",
         "duplicate-names-and-unknown-name",
+        "integer-candidate",
     ],
 )
 def test_ballot_diagnostics_keep_their_class_and_order(subsets, ballots, voters, kind, message):

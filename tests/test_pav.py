@@ -2,6 +2,7 @@
 
 import json
 import random
+import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
@@ -54,6 +55,20 @@ def test_harmonic_values():
     assert sv.harmonic(5000) == exact_harmonic(5000)
     with pytest.raises(ValueError):
         sv.harmonic(-1)
+
+
+def test_harmonic_builds_and_keeps_no_table():
+    # L·H(i) for every i <= 10,000 would take about 19 MiB
+    want = exact_harmonic(10_000)
+    tracemalloc.start()
+    try:
+        got = sv.harmonic(10_000)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 2 * 2**20
+    assert retained < 0.1 * 2**20
 
 
 def test_scores_of_a_committee_with_thousands_of_seats(tmp_path, capsys):

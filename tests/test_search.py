@@ -302,6 +302,12 @@ def test_uncoverable_ground_is_rejected_upstream():
         sv.SetCoverInstance.of(1, [frozenset()], budget=1)
     sc = sv.SetCoverInstance.of(1, [{0}], budget=1)
     assert sv.sw_jr_exists(sv.encode_set_cover(sc)) is not None
+    with pytest.raises(sv.InvalidSetCover) as excinfo:
+        sv.parse_set_cover('{"ground": 0, "subsets": [], "budget": 1}')
+    assert excinfo.value.problems == [
+        "ground set must be non-empty, got size 0",
+        "collection must contain at least one subset",
+    ]
 
 
 def test_bad_budgets_rejected():
