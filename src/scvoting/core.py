@@ -187,12 +187,24 @@ class ScvInstance:
                 names.append(cand)
             built.append(CandidateSubset(sub_name, tuple(ids), quota))
         rows = _resolve_ballots({name: 1 << cid for cid, name in enumerate(names)}, ballots)
+        return cls._from_rows(num_voters, names, built, rows)
+
+    @classmethod
+    def _from_rows(
+        cls,
+        num_voters: int,
+        names: Sequence[str],
+        subsets: Sequence[CandidateSubset],
+        rows: Sequence[int],
+    ) -> "ScvInstance":
+        """Build and validate an instance whose :attr:`ballot_rows` are
+        ``rows``, one candidate bitmask per voter."""
         inst = cls.__new__(cls)
         inst.__dict__.update(
             num_voters=num_voters,
             candidate_names=tuple(names),
-            subsets=tuple(built),
-            ballot_rows=rows,
+            subsets=tuple(subsets),
+            ballot_rows=tuple(rows),
         )
         return _validated(inst, None)
 
@@ -533,7 +545,42 @@ def instance_to_document(inst: ScvInstance) -> dict:
 
 
 def serialize_instance(inst: ScvInstance) -> str:
-    return to_json_text(instance_to_document(inst))
+    """``to_json_text(instance_to_document(inst))``, written without the
+    encoder's walk over the document.
+
+    Every name is quoted once by ``json.dumps`` (for a string, the C
+    function ``encode_basestring_ascii``).  The rows are relabelled so that
+    bit r stands for the r-th name in sorted order, by transposing the
+    approver masks taken in that order: each ballot then lists its names
+    sorted by raw name, as :func:`instance_to_document` sorts them, and is
+    written once however many voters cast it.
+    """
+    names = inst.candidate_names
+    quoted = list(map(json.dumps, names))
+    order = sorted(range(len(names)), key=names.__getitem__)
+    masks = inst.approver_masks
+    rows = _transpose([masks[c] for c in order], len(inst.ballot_rows))
+    by_name = [quoted[c] for c in order]
+    ballots = {row: _json_list(compress(by_name, _selectors(row)), 4) for row in dict.fromkeys(rows)}
+    subsets = [
+        '{\n      "name": %s,\n      "candidates": %s,\n      "quota": %s\n    }'
+        % (json.dumps(sub.name), _json_list(map(quoted.__getitem__, sub.members), 6),
+           json.dumps(sub.quota))
+        for sub in inst.subsets
+    ]
+    return '{\n  "voters": %s,\n  "subsets": %s,\n  "ballots": %s\n}\n' % (
+        json.dumps(inst.num_voters),
+        _json_list(subsets, 2),
+        _json_list(map(ballots.__getitem__, rows), 2),
+    )
+
+
+def _json_list(items: Iterable[str], indent: int) -> str:
+    """The ``indent=2`` layout of a list of JSON texts whose closing bracket
+    sits ``indent`` spaces in."""
+    pad = "\n" + " " * (indent + 2)
+    text = ("," + pad).join(items)
+    return f"[{pad}{text}\n{' ' * indent}]" if text else "[]"
 
 
 def to_json_text(obj) -> str:
@@ -715,19 +762,17 @@ def _generate_uniform(model: UniformModel, seed: int) -> ScvInstance:
             raise BadSpec(f"bad subset shape: size {size}, quota {quota}")
     if not 0.0 <= model.approval_prob <= 1.0:
         raise BadSpec(f"approval probability {model.approval_prob} outside [0, 1]")
-    rng = random.Random(seed)
     subsets = []
     next_id = 0
     for j, (size, quota) in enumerate(zip(model.sizes, model.quotas)):
-        names = [f"c{next_id + i}" for i in range(size)]
-        subsets.append((f"C{j + 1}", names, quota))
+        subsets.append(CandidateSubset(f"C{j + 1}", range(next_id, next_id + size), quota))
         next_id += size
-    m = next_id
-    ballots = [
-        [f"c{c}" for c in range(m) if rng.random() < model.approval_prob]
-        for _ in range(model.num_voters)
-    ]
-    return ScvInstance.from_names(model.num_voters, subsets, ballots)
+    bits = [1 << c for c in range(next_id)]
+    draw, prob = random.Random(seed).random, model.approval_prob
+    # draws in the order they always had, voter by voter and candidates in
+    # id order, so a seed draws the same instance
+    rows = [sum([bit for bit in bits if draw() < prob]) for _ in range(model.num_voters)]
+    return ScvInstance._from_rows(model.num_voters, [f"c{c}" for c in range(next_id)], subsets, rows)
 
 
 def _generate_party_list(model: PartyListModel) -> ScvInstance:

@@ -45,22 +45,32 @@ VARIANTS = (SW_PAV, IW_PAV)
 DEFAULT_MAXIMIZE_BUDGET = 10_000_000
 
 
-def _scaled_harmonics(c_max: int) -> tuple[int, tuple[int, ...]]:
-    """``(L, table)`` with L = lcm(1..c_max) and ``table[j] == L * H(j)``
-    for every j <= c_max."""
+def _scaled_harmonics(counts: Iterable[int]) -> tuple[int, dict[int, int]]:
+    """``(L, sums)`` with L = lcm(1..c) for the largest count c and
+    ``sums[j] == L * H(j)`` for j = 0 and every j in ``counts``, in
+    ascending order.
+
+    L // i is summed once for i <= c, and only the partial sums at the
+    given counts are kept, so the work is O(c) big-int steps and the memory
+    O(c) bits for each count asked for.
+    """
+    wanted = set(counts)
+    c_max = max(wanted, default=0)
     scale = lcm(*range(1, c_max + 1))
-    table = [0]
+    sums, partial = {0: 0}, 0
     for j in range(1, c_max + 1):
-        table.append(table[-1] + scale // j)
-    return scale, tuple(table)
+        partial += scale // j
+        if j in wanted:
+            sums[j] = partial
+    return scale, sums
 
 
 def harmonic(j: int) -> Fraction:
     """The j-th harmonic number as an exact rational; ``harmonic(0) == 0``."""
     if j < 0:
         raise ValueError(f"harmonic undefined for negative {j}")
-    scale = lcm(*range(1, j + 1))
-    return Fraction(sum(scale // i for i in range(1, j + 1)), scale)
+    scale, sums = _scaled_harmonics([j])
+    return Fraction(sums[j], scale)
 
 
 def _count_classes(masks: Sequence[int], scope: Iterable[int]) -> list[tuple[int, int]]:
@@ -97,8 +107,8 @@ def _score(inst: ScvInstance, scopes: Iterable[Iterable[int]]) -> Fraction:
     """Exact sum of H(count) over every voter and scope."""
     masks = inst.approver_masks
     classes = [pair for scope in scopes for pair in _count_classes(masks, scope)]
-    scale, table = _scaled_harmonics(max((count for count, _ in classes), default=0))
-    return Fraction(sum(table[count] * voters.bit_count() for count, voters in classes), scale)
+    scale, sums = _scaled_harmonics(count for count, _ in classes)
+    return Fraction(sum(sums[count] * voters.bit_count() for count, voters in classes), scale)
 
 
 def sw_pav_score(inst: ScvInstance, committee) -> Fraction:
@@ -156,7 +166,8 @@ def maximize(
     c_max = max(min(sum(q for _, q in scope),
                     _count_classes(masks, [c for pool, _ in scope for c in pool])[0][0])
                 for scope in scopes)
-    scale, table = _scaled_harmonics(c_max)
+    scale, sums = _scaled_harmonics(range(c_max + 1))
+    table = list(sums.values())
     parts = [_search(masks, inst.num_voters, scope, table) for scope in scopes]
     score, members = sum(s for s, _ in parts), [c for _, part in parts for c in part]
     return Committee(frozenset(members)), Fraction(score, scale)

@@ -1,5 +1,6 @@
 """Instance validation, JSON round trips, committees, and generators."""
 
+import hashlib
 import json
 import math
 import random
@@ -8,7 +9,7 @@ import tempfile
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scvoting as sv
@@ -530,7 +531,11 @@ def test_a_name_repeated_within_a_ballot_counts_once():
     )
 
 
-names = st.text(alphabet="abcxyz'_0123456789", min_size=1, max_size=4)
+# characters whose JSON escapes are awkward: quotes, backslashes, control
+# characters, non-ASCII ("\u00e9" sorts before "z", "é" after it), astral
+# characters and lone surrogates; then any code point at all
+tricky = st.sampled_from(['"', "\\", "\x00", "\n", "\x7f", "a", "z", "é", "\U0001f600", "\ud800"])
+names = st.text(tricky | st.characters(exclude_categories=()), min_size=1, max_size=4)
 
 
 @st.composite
@@ -539,6 +544,7 @@ def instances(draw):
     all_names = draw(
         st.lists(names, min_size=num_subsets, max_size=8, unique=True)
     )
+    subset_names = draw(st.lists(names, min_size=num_subsets, max_size=num_subsets, unique=True))
     cuts = sorted(
         draw(
             st.lists(
@@ -554,7 +560,7 @@ def instances(draw):
     for j, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
         members = all_names[lo:hi]
         quota = draw(st.integers(1, len(members)))
-        subsets.append((f"S{j}", members, quota))
+        subsets.append((subset_names[j], members, quota))
     num_voters = draw(st.integers(1, 6))
     ballots = [
         draw(st.lists(st.sampled_from(all_names), max_size=len(all_names), unique=True))
@@ -565,8 +571,15 @@ def instances(draw):
 
 @settings(max_examples=150, deadline=None)
 @given(instances())
+@example(sv.ScvInstance.from_names(  # "é" sorts after "z", its escape "\u00e9" before
+    4,
+    [('q"\\', ["z", "é", "\U0001f600", "\ud800", "\x00"], 2), ("", ["a"], 1)],
+    [["é", "z", "\ud800"], [], ["\x00", "\U0001f600", "a"], ["é", "z", "\ud800"]],
+))
 def test_parse_of_serialize_is_identity(inst):
-    assert sv.parse_instance(sv.serialize_instance(inst)) == inst
+    text = sv.serialize_instance(inst)
+    assert text == core.to_json_text(sv.instance_to_document(inst))  # the encoder's bytes
+    assert sv.parse_instance(text) == inst
 
 
 def _json_paths(node, path=()):
@@ -651,6 +664,37 @@ def test_uniform_model_zero_probability():
     inst = sv.generate_instance(model, 3)
     assert all(ballot == frozenset() for ballot in inst.ballots)
     sv.validate_instance(inst)
+
+
+@pytest.mark.parametrize("prob, approves", [(1, True), (0, False)])
+def test_integer_probabilities_draw_as_their_floats(prob, approves):
+    inst = sv.generate_instance(sv.UniformModel(5, (3, 4), (1, 2), prob), 9)
+    assert inst == sv.generate_instance(sv.UniformModel(5, (3, 4), (1, 2), float(prob)), 9)
+    everyone = frozenset(range(7)) if approves else frozenset()
+    assert inst.ballots == (everyone,) * 5
+
+
+# SHA-256 of the serialized draw: a change to the random stream, the
+# generators or the written layout changes these
+GOLDEN_DRAWS = [
+    (sv.UniformModel(12, (4, 3, 5), (2, 1, 3), 0.35), 7,
+     "f866526dd7823845866802d09aa819134bb525adb140a5681635c989e94cacd9"),
+    (sv.UniformModel(3000, (10, 10), (3, 2), 0.3), 1,
+     "3719e17abaefa4ee79560706bd0d6abe4ccf850474dab0764a1d23d68a7e8e64"),
+    (sv.PartyListModel(
+        (("Ω", ("é", "z", '"q"', "a\\b"), 2), ("C2", ("\U0001f600", "tab\t", "x"), 1)),
+        ((3, ("é", "z", "\U0001f600")), (2, ('"q"', "a\\b", "tab\t")), (1, ()), (4, ("z", "x")))),
+     0, "f44d9c9b5334f8a981b92637a3adeac0fe50bc714dcaa301e4a2d99fac5449f0"),
+    (sv.SetCoverModel(12, 20, 0.3, 4), 5,
+     "eaab1d5abdc7fbdd3814506b09452334ac3d02c345344570e9f3c9b1d1e77d71"),
+]
+
+
+@pytest.mark.parametrize("model, seed, digest", GOLDEN_DRAWS,
+                         ids=["uniform", "uniform-3000", "party-list", "set-cover"])
+def test_generators_draw_the_golden_instances(model, seed, digest):
+    text = sv.serialize_instance(sv.generate_instance(model, seed))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_generated_instances_always_validate():

@@ -71,6 +71,21 @@ def test_harmonic_builds_and_keeps_no_table():
     assert retained < 0.1 * 2**20
 
 
+def test_score_keeps_no_harmonic_table():
+    # L·H(j) for every j <= 10,000 would take about 19 MiB
+    want = exact_harmonic(10_000)
+    names = [f"c{i}" for i in range(10_000)]
+    inst = sv.ScvInstance.from_names(1, [("C", names, 10_000)], [names])
+    tracemalloc.start()
+    try:
+        got = sv.sw_pav_score(inst, range(10_000))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert got == want
+    assert peak < 2 * 2**20
+
+
 def test_scores_of_a_committee_with_thousands_of_seats(tmp_path, capsys):
     a = [f"a{i}" for i in range(1200)]
     b = [f"b{i}" for i in range(1000)]
