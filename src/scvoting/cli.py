@@ -31,7 +31,6 @@ from .core import (
 )
 from .errors import (
     BudgetExceeded,
-    InvalidInstance,
     ParseError,
     ScvError,
     SemanticError,
@@ -55,6 +54,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+@cache  # parsing leaves the parser unchanged, so one serves every call of run
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="scvoting", description=__doc__.splitlines()[0])
     parser.add_argument("--json", action="store_true", help="machine-readable output")
@@ -115,16 +115,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@cache
-def _parser() -> argparse.ArgumentParser:
-    # parsing leaves the parser unchanged, so one serves every call of run
-    return build_parser()
-
-
 def run(argv) -> int:
     """Execute one invocation; returns the exit code instead of exiting."""
     try:
-        args = _parser().parse_args(argv)
+        args = build_parser().parse_args(argv)
     except _UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -218,7 +212,7 @@ def _describe_verdict(inst: ScvInstance, verdict) -> str:
 def _cmd_validate(args) -> int:
     try:
         inst = parse_instance(_read(args.instance))
-    except (ParseError, SemanticError, InvalidInstance) as exc:
+    except (ParseError, SemanticError) as exc:
         problems = list(getattr(exc, "problems", [])) or [str(exc)]
         _emit(args, {"valid": False, "problems": problems},
               [f"invalid: {p}" for p in problems])

@@ -217,9 +217,11 @@ def validate_instance(raw) -> ScvInstance:
     raising.  An instance raises the class of the first violation found
     (:class:`QuotaInfeasible`, :class:`PartitionBroken`, or
     :class:`BadBallot`, with plain :class:`InvalidInstance` for structural
-    problems such as ``n < 1``).  A mapping raises :class:`ParseError` when
-    malformed and :class:`SemanticError` otherwise, listing any violations
-    above in ``.problems`` (see :func:`instance_from_document`).
+    problems such as ``n < 1``).  A field of a type the JSON format cannot
+    hold, such as a float quota, is a structural problem checked first.  A
+    mapping raises :class:`ParseError` when malformed and
+    :class:`SemanticError` otherwise, listing any violations above in
+    ``.problems`` (see :func:`instance_from_document`).
     """
     if isinstance(raw, Mapping):
         return instance_from_document(raw)
@@ -260,20 +262,36 @@ def _validated(inst: ScvInstance, ballots) -> ScvInstance:
     with None, on one resolved from names: its ids are in range by
     construction and it has one ballot per row."""
     problems: list[tuple[type, str]] = []  # (class, message), in check order
+    m = inst.num_candidates
 
-    if inst.num_voters < 1:
+    # the field types parsing requires, in its words, so that a valid
+    # instance serializes to a document that parses back
+    wrong = [_wrong_type(inst.num_voters, int, "instance", "voters")]
+    named = all(map(isinstance, inst.candidate_names, repeat(str)))
+    for idx, sub in enumerate(inst.subsets):
+        where = f"subset entry {idx}"
+        wrong.append(_wrong_type(sub.name, str, where, "name"))
+        if not named and not all(
+            isinstance(inst.candidate_names[c], str) for c in sub.members if 0 <= c < m
+        ):
+            wrong.append(f"{where} field 'candidates' must list strings")
+        wrong.append(_wrong_type(sub.quota, int, where, "quota"))
+    problems += [(InvalidInstance, message) for message in wrong if message]
+
+    # a count or quota that is no int is not compared to anything
+    counted = _is_int(inst.num_voters)
+    if counted and inst.num_voters < 1:
         problems.append((InvalidInstance, f"need at least one voter, got {inst.num_voters}"))
     if inst.num_subsets < 1:
         problems.append((InvalidInstance, "need at least one candidate subset"))
     got = len(inst.ballot_rows if ballots is None else ballots)
-    if got != inst.num_voters:
+    if counted and got != inst.num_voters:
         problems.append((InvalidInstance, f"expected {inst.num_voters} ballots, got {got}"))
     if len(set(inst.candidate_names)) != len(inst.candidate_names):
         problems.append((InvalidInstance, "candidate names are not unique"))
     if len({s.name for s in inst.subsets}) != len(inst.subsets):
         problems.append((InvalidInstance, "subset names are not unique"))
 
-    m = inst.num_candidates
     seen: dict[int, str] = {}
     for sub in inst.subsets:
         for c in sub.members:
@@ -289,7 +307,7 @@ def _validated(inst: ScvInstance, ballots) -> ScvInstance:
         problems.append((PartitionBroken, f"candidate ids {_id_list(missing)} belong to no subset"))
 
     for sub in inst.subsets:
-        if not 1 <= sub.quota <= sub.size:
+        if _is_int(sub.quota) and not 1 <= sub.quota <= sub.size:
             problems.append((QuotaInfeasible, f"subset {sub.name!r} has quota {sub.quota}, "
                                               f"needs 1 <= quota <= {sub.size}"))
 
@@ -458,15 +476,29 @@ def best_supported(
 #     "ballots": [ [candidate-name, ...], ... ] }
 
 
+def _is_int(value) -> bool:
+    """An int and not a bool, as the document's integer fields are."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _wrong_type(value, kind, where: str, field: str) -> Optional[str]:
+    """Why ``value`` cannot be the document's ``field``, or None when it
+    has type ``kind``."""
+    if kind is int:
+        if not _is_int(value):
+            return f"{where} field {field!r} must be an integer"
+    elif not isinstance(value, kind):
+        return f"{where} field {field!r} has the wrong type"
+    return None
+
+
 def _require(doc: Mapping, field: str, kind, where: str):
     if field not in doc:
         raise ParseError(f"{where} is missing required field {field!r}")
     value = doc[field]
-    if kind is int:
-        if not isinstance(value, int) or isinstance(value, bool):
-            raise ParseError(f"{where} field {field!r} must be an integer")
-    elif not isinstance(value, kind):
-        raise ParseError(f"{where} field {field!r} has the wrong type")
+    problem = _wrong_type(value, kind, where, field)
+    if problem:
+        raise ParseError(problem)
     return value
 
 

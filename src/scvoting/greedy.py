@@ -15,11 +15,11 @@ span-wide axiom (``weak-sw-jr``):
 
 Ties always break toward the lowest candidate id, so identical instances
 yield identical committees and traces.  Supports are counted on voter
-bitmasks: the voters represented by the committee, and by each subset's
-members, are kept as masks that every pick ORs its approver mask into, and
-:func:`~scvoting.core.best_supported` scores the candidates against their
-complement.  That kernel also applies the phase's threshold, so a phase
-ends when it returns no pick.
+bitmasks: the voters represented by the committee, and in ``intra`` by the
+subset's own members, are kept as masks that each pick ORs its approver
+mask into, and :func:`~scvoting.core.best_supported` scores the candidates
+against their complement.  That kernel also applies the phase's threshold,
+so a phase ends when it returns no pick.
 """
 
 from __future__ import annotations
@@ -78,27 +78,26 @@ def solve_greedy(inst: ScvInstance) -> tuple[Committee, GreedyTrace]:
     steps: list[GreedyStep] = []
     won: set[int] = set()
     need = list(inst.quotas)  # open slots per subset
-    # voters approving some member: of the whole committee, and per subset
-    represented = 0
-    represented_in: list[int] = [0] * len(inst.subsets)
+    represented = 0  # voters approving some member
 
     def elect(phase: str, j: int, candidate: int, supporters: int):
         nonlocal represented
         won.add(candidate)
         need[j] -= 1
         represented |= masks[candidate]
-        represented_in[j] |= masks[candidate]
         steps.append(
             GreedyStep(phase, candidate, j, supporters.bit_count(), mask_voters(supporters))
         )
 
     # intra: per-subset representation at threshold n / k_j
     for j, sub in enumerate(inst.subsets):
+        represented_here = 0  # voters approving a member of this subset
         while need[j]:
             offered = (c for c in sub.members if c not in won)
-            pick = best_supported(inst, offered, everyone & ~represented_in[j], sub.quota)
+            pick = best_supported(inst, offered, everyone & ~represented_here, sub.quota)
             if pick is None:
                 break
+            represented_here |= masks[pick[0]]
             elect(PHASE_INTRA, j, *pick)
 
     # span: global representation at threshold n / k

@@ -96,14 +96,11 @@ class SearchStats:
     ``check_sw_jr``: such a leaf satisfies the axiom and ends the search, so
     there is at most one per call.  ``pruned_capacity`` / ``pruned_packing``
     count the nodes cut by each prune rule, leaves cut by the capacity rule
-    among them.  ``pruned_quota`` always reads 0: the walk enters only
-    children that leave every subset enough members, so no node is cut for
-    lack of quota room.
+    among them.
     """
 
     nodes: int = 0
     leaves: int = 0
-    pruned_quota: int = 0
     pruned_capacity: int = 0
     pruned_packing: int = 0
 

@@ -131,14 +131,52 @@ def _programmatic(names, subsets):
          ["subset names are not unique"]),
         (_programmatic(("x",), [("C1", (0, 3), 1)]), sv.PartitionBroken,
          ["subset 'C1' lists out-of-range id 3"]),
+        (sv.ScvInstance(3, ("x",), [sv.CandidateSubset("C1", (0,), 1)], [frozenset()] * 2),
+         sv.InvalidInstance, ["expected 3 ballots, got 2"]),
     ],
-    ids=["no-subsets", "duplicate-candidate-names", "duplicate-subset-names", "out-of-range-id"],
+    ids=["no-subsets", "duplicate-candidate-names", "duplicate-subset-names", "out-of-range-id",
+         "too-few-ballots"],
 )
 def test_structural_violations_name_their_class_and_cause(inst, kind, problems):
     with pytest.raises(sv.InvalidInstance) as excinfo:
         sv.validate_instance(inst)
     assert type(excinfo.value) is kind
     assert excinfo.value.problems == problems
+
+
+@pytest.mark.parametrize(
+    "voters, subsets, problems",
+    [
+        (2.0, [("C1", ["x", "y"], 1)], ["instance field 'voters' must be an integer"]),
+        (True, [("C1", ["x", "y"], 1)], ["instance field 'voters' must be an integer"]),
+        ("2", [("C1", ["x", "y"], 1)], ["instance field 'voters' must be an integer"]),
+        (2, [("C1", ["x", "y"], True)], ["subset entry 0 field 'quota' must be an integer"]),
+        (2, [("C1", ["x", "y"], 1.0)], ["subset entry 0 field 'quota' must be an integer"]),
+        (2, [("C1", ["x"], 1), (7, ["y"], 1)], ["subset entry 1 field 'name' has the wrong type"]),
+        (2, [("C1", ["x", 5], 1)], ["subset entry 0 field 'candidates' must list strings"]),
+        (2.0, [(None, ["x", 5], "1")], [
+            "instance field 'voters' must be an integer",
+            "subset entry 0 field 'name' has the wrong type",
+            "subset entry 0 field 'candidates' must list strings",
+            "subset entry 0 field 'quota' must be an integer",
+        ]),
+    ],
+    ids=["float-voters", "true-voters", "string-voters", "true-quota", "float-quota",
+         "integer-subset-name", "integer-candidate-name", "all-in-check-order"],
+)
+def test_fields_parsing_rejects_fail_validation_in_its_words(voters, subsets, problems):
+    with pytest.raises(sv.InvalidInstance) as excinfo:
+        sv.ScvInstance.from_names(voters, subsets, [["x"], []])
+    assert type(excinfo.value) is sv.InvalidInstance
+    assert excinfo.value.problems == problems
+    doc = {
+        "voters": voters,
+        "subsets": [{"name": n, "candidates": c, "quota": q} for n, c, q in subsets],
+        "ballots": [["x"], []],
+    }
+    with pytest.raises(sv.ParseError) as excinfo:
+        sv.parse_instance(json.dumps(doc))
+    assert str(excinfo.value) == problems[0]
 
 
 def test_voterless_instance_rejected():
@@ -491,6 +529,7 @@ ENTRY = "ballot entry {} must be a list of candidate names"
          "candidate name 'a' declared twice (in 'C1' and 'C2')"),
         ([{"name": "C1", "candidates": ["a", 7], "quota": 1}], [["a"]], 1, sv.ParseError,
          "subset entry 0 field 'candidates' must list strings"),
+        ([5], [[]], 1, sv.ParseError, "subset entry 0 must be an object"),
     ],
     ids=[
         "non-list-after-unknown-name",
@@ -508,6 +547,7 @@ ENTRY = "ballot entry {} must be a list of candidate names"
         "duplicate-names-and-bad-ballot",
         "duplicate-names-and-unknown-name",
         "integer-candidate",
+        "subset-not-an-object",
     ],
 )
 def test_ballot_diagnostics_keep_their_class_and_order(subsets, ballots, voters, kind, message):
@@ -539,7 +579,8 @@ names = st.text(tricky | st.characters(exclude_categories=()), min_size=1, max_s
 
 
 @st.composite
-def instances(draw):
+def instance_args(draw):
+    """``ScvInstance.from_names`` arguments of a valid instance."""
     num_subsets = draw(st.integers(1, 3))
     all_names = draw(
         st.lists(names, min_size=num_subsets, max_size=8, unique=True)
@@ -566,7 +607,11 @@ def instances(draw):
         draw(st.lists(st.sampled_from(all_names), max_size=len(all_names), unique=True))
         for _ in range(num_voters)
     ]
-    return sv.ScvInstance.from_names(num_voters, subsets, ballots)
+    return num_voters, subsets, ballots
+
+
+def instances():
+    return instance_args().map(lambda args: sv.ScvInstance.from_names(*args))
 
 
 @settings(max_examples=150, deadline=None)
@@ -580,6 +625,46 @@ def test_parse_of_serialize_is_identity(inst):
     text = sv.serialize_instance(inst)
     assert text == core.to_json_text(sv.instance_to_document(inst))  # the encoder's bytes
     assert sv.parse_instance(text) == inst
+
+
+# values of the other JSON types, and of none, for a field of each type
+NOT_AN_INT = st.sampled_from([True, False, 1.0, 2.5, "1", None])
+NOT_A_STRING = st.sampled_from([0, 7, True, 1.5, None])
+
+
+@st.composite
+def retyped_args(draw):
+    """``from_names`` arguments of a valid instance with, or without, one
+    field of another type, and that field's name."""
+    num_voters, subsets, ballots = draw(instance_args())
+    field = draw(st.sampled_from([None, "voters", "name", "candidates", "quota"]))
+    j = draw(st.integers(0, len(subsets) - 1))
+    name, members, quota = subsets[j]
+    if field == "voters":
+        num_voters = draw(NOT_AN_INT | st.just(float(num_voters)))
+    elif field == "name":
+        name = draw(NOT_A_STRING)
+    elif field == "candidates":
+        old, new = members[0], draw(NOT_A_STRING)
+        members = [new, *members[1:]]
+        ballots = [[new if c == old else c for c in ballot] for ballot in ballots]
+    elif field == "quota":
+        quota = draw(NOT_AN_INT | st.just(float(quota)))
+    subsets = subsets[:j] + [(name, members, quota)] + subsets[j + 1:]
+    return (num_voters, subsets, ballots), field
+
+
+@settings(max_examples=300, deadline=None)
+@given(retyped_args())
+def test_every_valid_instance_serializes_and_parses_back(drawn):
+    args, retyped = drawn
+    try:
+        inst = sv.ScvInstance.from_names(*args)
+    except sv.InvalidInstance as exc:
+        assert retyped, exc.problems  # only a field of another type fails
+        return
+    assert retyped is None
+    assert sv.parse_instance(sv.serialize_instance(inst)) == inst
 
 
 def _json_paths(node, path=()):

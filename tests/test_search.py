@@ -253,7 +253,7 @@ def test_search_stats_are_deterministic_and_change_nothing(build):
     assert first == second
     assert first.nodes >= 1
     assert first.nodes >= (
-        first.leaves + first.pruned_quota + first.pruned_capacity + first.pruned_packing
+        first.leaves + first.pruned_capacity + first.pruned_packing
     )
     sv.sw_jr_exists(inst, stats=first)  # a second call adds to the counts
     assert first.nodes == 2 * second.nodes
