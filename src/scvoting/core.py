@@ -272,7 +272,7 @@ def _validated(inst: ScvInstance, ballots) -> ScvInstance:
         where = f"subset entry {idx}"
         wrong.append(_wrong_type(sub.name, str, where, "name"))
         if not named and not all(
-            isinstance(inst.candidate_names[c], str) for c in sub.members if 0 <= c < m
+            isinstance(inst.candidate_names[c], str) for c in sub.members if _is_id(c, m)
         ):
             wrong.append(f"{where} field 'candidates' must list strings")
         wrong.append(_wrong_type(sub.quota, int, where, "quota"))
@@ -287,14 +287,21 @@ def _validated(inst: ScvInstance, ballots) -> ScvInstance:
     got = len(inst.ballot_rows if ballots is None else ballots)
     if counted and got != inst.num_voters:
         problems.append((InvalidInstance, f"expected {inst.num_voters} ballots, got {got}"))
-    if len(set(inst.candidate_names)) != len(inst.candidate_names):
+    if _repeats(inst.candidate_names):
         problems.append((InvalidInstance, "candidate names are not unique"))
-    if len({s.name for s in inst.subsets}) != len(inst.subsets):
+    if _repeats([s.name for s in inst.subsets]):
         problems.append((InvalidInstance, "subset names are not unique"))
 
     seen: dict[int, str] = {}
     for sub in inst.subsets:
-        for c in sub.members:
+        members = sub.members
+        # ids resolved from names are ints by construction; others are compared
+        # only once they are
+        if ballots is not None and not all(map(isinstance, members, repeat(int))):
+            problems += [(PartitionBroken, f"subset {sub.name!r} lists out-of-range id {c!r}")
+                         for c in members if not isinstance(c, int)]
+            members = [c for c in members if isinstance(c, int)]
+        for c in members:
             if not 0 <= c < m:
                 problems.append((PartitionBroken, f"subset {sub.name!r} lists out-of-range id {c}"))
             elif c in seen:
@@ -312,9 +319,10 @@ def _validated(inst: ScvInstance, ballots) -> ScvInstance:
                                               f"needs 1 <= quota <= {sub.size}"))
 
     # test the distinct approved ids first; walk the ballots only to name them
-    if ballots is not None and any(not 0 <= c < m for c in frozenset().union(*ballots)):
+    if ballots is not None and not all(_is_id(c, m) for c in frozenset().union(*ballots)):
         for i, b in enumerate(ballots):
-            bad = sorted(c for c in b if not 0 <= c < m)
+            bad = sorted((c for c in b if not _is_id(c, m)),  # ints, then the rest by repr
+                         key=lambda c: (0, c) if isinstance(c, int) else (1, repr(c)))
             if bad:
                 problems.append(
                     (BadBallot, f"ballot {i} references unknown candidate ids {_id_list(bad)}")
@@ -347,8 +355,8 @@ class Committee:
         members = frozenset(members)
         problems = []
         for c in members:
-            if not 0 <= c < inst.num_candidates:
-                problems.append(f"unknown candidate id {c}")
+            if not _is_id(c, inst.num_candidates):
+                problems.append(f"unknown candidate id {c!r}")
         if not problems:
             index = inst.subset_index
             counts = [0] * (inst.num_subsets + 1)  # the spare slot takes ids in no subset
@@ -481,6 +489,21 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def _is_id(value, m: int) -> bool:
+    """Whether ``value`` is a candidate id of an instance with m candidates
+    (a bool counts, as it does in arithmetic)."""
+    return isinstance(value, int) and 0 <= value < m
+
+
+def _repeats(names: Sequence) -> bool:
+    """Whether a name occurs twice; False when some name cannot be hashed,
+    a wrong type that the type checks report."""
+    try:
+        return len(set(names)) != len(names)
+    except TypeError:
+        return False
+
+
 def _wrong_type(value, kind, where: str, field: str) -> Optional[str]:
     """Why ``value`` cannot be the document's ``field``, or None when it
     has type ``kind``."""
@@ -586,6 +609,10 @@ def serialize_instance(inst: ScvInstance) -> str:
     approver masks taken in that order: each ballot then lists its names
     sorted by raw name, as :func:`instance_to_document` sorts them, and is
     written once however many voters cast it.
+
+    Parsing the text gives back the same document.  The parser numbers the
+    candidates in declaration order, so an instance built from ids in any
+    other order, such as interleaved subsets, comes back relabelled.
     """
     names = inst.candidate_names
     quoted = list(map(json.dumps, names))
@@ -676,9 +703,7 @@ def set_cover_from_document(doc: Mapping) -> SetCoverInstance:
     subsets = _require(doc, "subsets", list, "set cover")
     budget = _require(doc, "budget", int, "set cover")
     for idx, s in enumerate(subsets):
-        if not isinstance(s, list) or not all(
-            isinstance(e, int) and not isinstance(e, bool) for e in s
-        ):
+        if not isinstance(s, list) or not all(map(_is_int, s)):
             raise ParseError(f"set-cover subset {idx} must be a list of integers")
     return SetCoverInstance.of(ground, (frozenset(s) for s in subsets), budget)
 

@@ -20,11 +20,10 @@ Maximization is exhaustive (these optima are NP-hard in general) over the
 feasible committees and guarded by a count budget.  One depth-first search
 serves both variants: it picks one candidate per level, keeps each level's
 voters as exact-count classes on the approver masks, so backing out of a
-pick undoes nothing, and prunes a branch once even a full point per voter in
-every open slot could not reach the incumbent.  A variant is its list of
-scopes, searched one by one: one scope of all subsets for ``sw-pav``, one
-per subset for ``iw-pav``.  Ties always resolve to the committee whose
-sorted member-id tuple is lexicographically least.
+pick undoes nothing.  A variant is its list of scopes, searched one by
+one: one scope of all subsets for ``sw-pav``, one per subset for
+``iw-pav``.  Ties always resolve to the committee whose sorted member-id
+tuple is lexicographically least.
 """
 
 from __future__ import annotations
@@ -197,13 +196,9 @@ def _search(
               for pool, quota in subsets for s in range(quota)]
     depth = len(levels)
     steps = [b - a for a, b in zip(table, table[1:])]  # steps[j]: gain of count j -> j+1
-    # the most the levels from d onward can add: a first approval, L, per voter each
-    full = steps[0] if steps else 0
-    room = [num_voters * full * (depth - d) for d in range(depth + 1)]
     stack = [[(0, (1 << num_voters) - 1)]] * depth  # the root: everyone at count 0
     picks, partial = [-1] * depth, [0] * depth
     best, best_members = -1, ()
-    need = [best - r for r in room]  # a level-d score below need[d] cannot catch up
     d = 0
     while d >= 0:
         pool, fresh, end = levels[d]
@@ -221,7 +216,6 @@ def _search(
                     members = tuple(sorted(lv[0][q] for lv, q in zip(levels, picks)))
                     if score > best or members < best_members:
                         best, best_members = score, members
-                        need = [best - r for r in room]
             p = end
         if p >= end:
             d -= 1
@@ -246,8 +240,6 @@ def _search(
                 split.append((j, voters))
         if up:
             split.append((rise, up))
-        if score < need[d + 1]:
-            continue
         d += 1
         stack[d] = split
         partial[d] = score

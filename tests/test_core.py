@@ -133,9 +133,23 @@ def _programmatic(names, subsets):
          ["subset 'C1' lists out-of-range id 3"]),
         (sv.ScvInstance(3, ("x",), [sv.CandidateSubset("C1", (0,), 1)], [frozenset()] * 2),
          sv.InvalidInstance, ["expected 3 ballots, got 2"]),
+        (_programmatic(("x",), [("C1", (0.0,), 1)]), sv.PartitionBroken,
+         ["subset 'C1' lists out-of-range id 0.0", "candidate ids [0] belong to no subset"]),
+        (_programmatic(("x",), [("C1", ("0",), 1)]), sv.PartitionBroken,
+         ["subset 'C1' lists out-of-range id '0'", "candidate ids [0] belong to no subset"]),
+        (sv.ScvInstance(1, ("x",), [sv.CandidateSubset("C1", (0,), 1)], [frozenset({0.0})]),
+         sv.BadBallot, ["ballot 0 references unknown candidate ids [0.0]"]),
+        (sv.ScvInstance(1, ("x",), [sv.CandidateSubset("C1", (0,), 1)], [frozenset({"0", 4, 0})]),
+         sv.BadBallot, ["ballot 0 references unknown candidate ids [4, '0']"]),
+        (_programmatic((["x"], ["x"]), [("C1", (0, 1), 1)]), sv.InvalidInstance,
+         ["subset entry 0 field 'candidates' must list strings"]),
+        (_programmatic(("x", "y"), [(["C1"], (0,), 1), (["C1"], (1,), 1)]), sv.InvalidInstance,
+         ["subset entry 0 field 'name' has the wrong type",
+          "subset entry 1 field 'name' has the wrong type"]),
     ],
     ids=["no-subsets", "duplicate-candidate-names", "duplicate-subset-names", "out-of-range-id",
-         "too-few-ballots"],
+         "too-few-ballots", "float-member-id", "string-member-id", "float-ballot-id",
+         "string-ballot-id", "list-candidate-name", "list-subset-name"],
 )
 def test_structural_violations_name_their_class_and_cause(inst, kind, problems):
     with pytest.raises(sv.InvalidInstance) as excinfo:
@@ -350,6 +364,10 @@ def test_infeasible_committee_rejected():
         sv.Committee.of(inst, [0])
     with pytest.raises(sv.InfeasibleCommittee):
         sv.Committee.of(inst, [0, 99])
+    with pytest.raises(sv.InfeasibleCommittee, match=r"^unknown candidate id 0\.0$"):
+        sv.Committee.of(inst, [0.0, 2])
+    with pytest.raises(sv.InfeasibleCommittee, match=r"^unknown candidate id 'a1'$"):
+        sv.Committee.of(inst, ["a1", 2])
 
 
 def test_committee_problems_keep_their_messages_and_order():
@@ -665,6 +683,40 @@ def test_every_valid_instance_serializes_and_parses_back(drawn):
         return
     assert retyped is None
     assert sv.parse_instance(sv.serialize_instance(inst)) == inst
+
+
+@st.composite
+def instances_from_ids(draw):
+    """Valid instances built from ids, each subset listing its members in
+    any order, so that subsets may interleave."""
+    m = draw(st.integers(1, 8))
+    ids = draw(st.permutations(range(m)))
+    cuts = sorted(draw(st.sets(st.integers(1, m - 1), max_size=2))) if m > 1 else []
+    bounds = [0, *cuts, m]
+    subsets = [
+        sv.CandidateSubset(f"S{j}", ids[lo:hi], draw(st.integers(1, hi - lo)))
+        for j, (lo, hi) in enumerate(zip(bounds, bounds[1:]))
+    ]
+    ballots = draw(st.lists(st.frozensets(st.integers(0, m - 1)), min_size=1, max_size=5))
+    labels = draw(st.lists(names, min_size=m, max_size=m, unique=True))
+    return sv.validate_instance(sv.ScvInstance(len(ballots), labels, subsets, ballots))
+
+
+@settings(max_examples=200, deadline=None)
+@given(instances_from_ids())
+@example(sv.validate_instance(sv.ScvInstance(  # interleaved subsets
+    2, ("a", "b", "c", "d"),
+    [sv.CandidateSubset("X", (0, 2), 1), sv.CandidateSubset("Y", (1, 3), 1)],
+    [frozenset({1, 2}), frozenset({3})],
+)))
+@example(sv.validate_instance(sv.ScvInstance(  # members listed in reverse
+    1, ("a", "b", "c"), [sv.CandidateSubset("X", (2, 1, 0), 2)], [frozenset({0})],
+)))
+def test_instances_from_ids_parse_back_to_the_same_document(inst):
+    # parsing numbers the candidates in declaration order, so the ids may
+    # differ from the original's; the document they describe may not
+    parsed = sv.parse_instance(sv.serialize_instance(inst))
+    assert sv.instance_to_document(parsed) == sv.instance_to_document(inst)
 
 
 def _json_paths(node, path=()):
