@@ -253,7 +253,7 @@ def check_jr(
         committee = frozenset(committee)
         if num_candidates is None:
             referenced = frozenset().union(committee, *ballots) if ballots else committee
-            num_candidates = max(referenced, default=-1) + 1
+            num_candidates = max((c for c in referenced if isinstance(c, int)), default=-1) + 1
         inst = jr_embedding(ballots, k, num_candidates)
     verdict = check_sw_jr(inst, committee)
     return AxiomVerdict(JR, verdict.satisfied, verdict.witness, verdict.note)

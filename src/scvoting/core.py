@@ -174,19 +174,23 @@ class ScvInstance:
         names: list[str] = []
         built: list[CandidateSubset] = []
         seen: dict[str, str] = {}
+        bit_of: dict[str, int] = {}
         for sub_name, cand_names, quota in subsets:
             ids = []
             for cand in cand_names:
-                if cand in seen:
-                    raise SemanticError(
-                        f"candidate name {cand!r} declared twice "
-                        f"(in {seen[cand]!r} and {sub_name!r})"
-                    )
-                seen[cand] = sub_name
+                try:  # an unhashable name has a wrong type, which validation reports
+                    if cand in seen:
+                        raise SemanticError(
+                            f"candidate name {cand!r} declared twice "
+                            f"(in {seen[cand]!r} and {sub_name!r})"
+                        )
+                    seen[cand], bit_of[cand] = sub_name, 1 << len(names)
+                except TypeError:
+                    pass
                 ids.append(len(names))
                 names.append(cand)
             built.append(CandidateSubset(sub_name, tuple(ids), quota))
-        rows = _resolve_ballots({name: 1 << cid for cid, name in enumerate(names)}, ballots)
+        rows = _resolve_ballots(bit_of, ballots)
         return cls._from_rows(num_voters, names, built, rows)
 
     @classmethod
@@ -242,10 +246,14 @@ def _resolve_ballots(bit_of: Mapping[str, int], ballots) -> tuple[int, ...]:
         sizes = list(map(len, ballots))
     try:
         rows = list(map(sum, map(map, repeat(bit_of.__getitem__), ballots)))
-    except KeyError as exc:
-        name = exc.args[0]  # the first ballot holding it is the one that failed
-        i = next(i for i, ballot in enumerate(ballots) if name in ballot)
-        raise SemanticError(f"ballot {i} approves undeclared candidate {name!r}") from None
+    except (KeyError, TypeError):  # an undeclared or an unhashable name
+        for i, ballot in enumerate(ballots):
+            for name in ballot:
+                try:
+                    bit_of[name]
+                except (KeyError, TypeError):
+                    raise SemanticError(
+                        f"ballot {i} approves undeclared candidate {name!r}") from None
     # a sum of distinct bits has one bit per term: fewer means a repeated name
     for i in compress(range(len(rows)), map(int.__ne__, map(int.bit_count, rows), sizes)):
         rows[i] = sum(map(bit_of.__getitem__, set(ballots[i])))
@@ -551,7 +559,7 @@ def instance_from_document(doc: Mapping) -> ScvInstance:
             return ScvInstance.from_names(voters, subsets, raw_ballots)
     except InvalidInstance as exc:
         raise SemanticError(str(exc), problems=exc.problems) from exc
-    except (SemanticError, TypeError):
+    except SemanticError:
         pass
     for idx, ballot in enumerate(raw_ballots):
         if not isinstance(ballot, list) or not all(

@@ -1,25 +1,27 @@
-"""Greedy committee construction with a per-subset then span-wide sweep.
+"""Greedy committee construction: one election loop over rounds, then padding.
 
-The solver fills quotas in three deterministic phases and always returns a
-committee satisfying both the per-subset axiom (``iw-jr``) and the weak
-span-wide axiom (``weak-sw-jr``):
+The solver fills quotas deterministically and always returns a committee
+satisfying both the per-subset axiom (``iw-jr``) and the weak span-wide
+axiom (``weak-sw-jr``).  It runs one election loop over a list of rounds,
+each a phase, the subsets it may elect into, and a threshold:
 
-1. ``intra``: within each subset (ascending), repeatedly elect the candidate
-   approved by the most voters not yet represented inside that subset, as
-   long as that support reaches n/k_j and slots remain.
-2. ``span``: across all subsets with open slots, repeatedly elect the
-   candidate approved by the most globally unrepresented voters, as long as
-   that support reaches n/k.
-3. ``fill``: pad every remaining slot with the lowest-id unelected candidate
-   of its subset.
+1. ``intra``: one round per subset j (ascending), at n/k_j within j.
+2. ``span``: one round across all subsets, at n/k.
+
+A round starts from the voters represented by the won members of its own
+subsets (none for an ``intra`` round, every won member for the ``span``
+round) and repeatedly elects, among the unelected members of its subsets
+with open slots, the candidate approved by the most of its unrepresented
+voters, as long as that support reaches the round's threshold.  Then
+``fill`` pads every remaining slot with the lowest-id unelected candidate of
+its subset, continuing from the ``span`` round's represented voters.
 
 Ties always break toward the lowest candidate id, so identical instances
 yield identical committees and traces.  Supports are counted on voter
-bitmasks: the voters represented by the committee, and in ``intra`` by the
-subset's own members, are kept as masks that each pick ORs its approver
-mask into, and :func:`~scvoting.core.best_supported` scores the candidates
-against their complement.  That kernel also applies the phase's threshold,
-so a phase ends when it returns no pick.
+bitmasks: a round keeps the voters it represents as a mask that each pick
+ORs its approver mask into, and :func:`~scvoting.core.best_supported`
+scores the candidates against its complement.  That kernel also applies
+the round's threshold, so a round ends when it returns no pick.
 """
 
 from __future__ import annotations
@@ -67,58 +69,47 @@ class GreedyTrace:
 
 
 def solve_greedy(inst: ScvInstance) -> tuple[Committee, GreedyTrace]:
-    """Run the three-phase greedy construction on a validated instance.
+    """Run the greedy construction on a validated instance.
 
     Returns the committee and the full step trace.  Polynomial time; the
     output is feasible and passes both ``check_iw_jr`` and
     ``check_weak_sw_jr``.
     """
     masks = inst.approver_masks
+    subset_of = inst.subset_index
     everyone = (1 << inst.num_voters) - 1
     steps: list[GreedyStep] = []
     won: set[int] = set()
     need = list(inst.quotas)  # open slots per subset
-    represented = 0  # voters approving some member
 
-    def elect(phase: str, j: int, candidate: int, supporters: int):
-        nonlocal represented
+    def elect(phase: str, candidate: int, supporters: int) -> int:
         won.add(candidate)
-        need[j] -= 1
-        represented |= masks[candidate]
-        steps.append(
-            GreedyStep(phase, candidate, j, supporters.bit_count(), mask_voters(supporters))
-        )
+        need[subset_of[candidate]] -= 1
+        steps.append(GreedyStep(phase, candidate, subset_of[candidate],
+                                supporters.bit_count(), mask_voters(supporters)))
+        return masks[candidate]
 
-    # intra: per-subset representation at threshold n / k_j
-    for j, sub in enumerate(inst.subsets):
-        represented_here = 0  # voters approving a member of this subset
-        while need[j]:
-            offered = (c for c in sub.members if c not in won)
-            pick = best_supported(inst, offered, everyone & ~represented_here, sub.quota)
-            if pick is None:
-                break
-            represented_here |= masks[pick[0]]
-            elect(PHASE_INTRA, j, *pick)
+    # a round's voters start as those that won members of its subsets represent
+    rounds = [(PHASE_INTRA, (j,), sub.quota) for j, sub in enumerate(inst.subsets)]
+    rounds.append((PHASE_SPAN, range(len(need)), inst.committee_size))
+    for phase, scope, threshold in rounds:
+        represented = 0
+        for c in won:
+            if subset_of[c] in scope:
+                represented |= masks[c]
+        while pick := best_supported(
+            inst,
+            [c for j in scope if need[j] for c in inst.subsets[j].members if c not in won],
+            everyone & ~represented,
+            threshold,
+        ):
+            represented |= elect(phase, *pick)
 
-    # span: global representation at threshold n / k
-    while True:
-        eligible = [
-            c
-            for j, sub in enumerate(inst.subsets)
-            if need[j]
-            for c in sub.members
-            if c not in won
-        ]
-        pick = best_supported(inst, eligible, everyone & ~represented, inst.committee_size)
-        if pick is None:
-            break
-        elect(PHASE_SPAN, inst.subset_index[pick[0]], *pick)
-
-    # fill: lowest-id padding, recorded with its (sub-threshold) support
+    # fill: lowest-id padding after the span round, recorded with sub-threshold support
     for j, sub in enumerate(inst.subsets):
         while need[j]:
             candidate = min(c for c in sub.members if c not in won)
-            elect(PHASE_FILL, j, candidate, masks[candidate] & ~represented)
+            represented |= elect(PHASE_FILL, candidate, masks[candidate] & ~represented)
 
     return Committee(frozenset(won)), GreedyTrace(tuple(steps))
 

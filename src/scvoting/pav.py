@@ -165,9 +165,9 @@ def maximize(
     c_max = max(min(sum(q for _, q in scope),
                     _count_classes(masks, [c for pool, _ in scope for c in pool])[0][0])
                 for scope in scopes)
-    scale, sums = _scaled_harmonics(range(c_max + 1))
-    table = list(sums.values())
-    parts = [_search(masks, inst.num_voters, scope, table) for scope in scopes]
+    scale = lcm(*range(1, c_max + 1))
+    steps = [scale // j for j in range(1, c_max + 1)]
+    parts = [_search(masks, inst.num_voters, scope, steps) for scope in scopes]
     score, members = sum(s for s, _ in parts), [c for _, part in parts for c in part]
     return Committee(frozenset(members)), Fraction(score, scale)
 
@@ -176,32 +176,32 @@ def _search(
     masks: Sequence[int],
     num_voters: int,
     subsets: Sequence[tuple[Sequence[int], int]],
-    table: Sequence[int],
+    steps: Sequence[int],
 ) -> tuple[int, tuple[int, ...]]:
     """Best scaled score over every choice of ``quota`` members from each
     ``(sorted pool, quota)`` pair, with the lexicographically least sorted
     member tuple among ties.
 
-    ``table[j]`` is a voter's score at count j, up to the largest count any
-    voter can reach here.  Each level picks one member after the previous
-    pick of the same pool, so every combination is reached once and shares
-    the work of its prefix.  ``stack[d]`` holds the voters before level d's
-    pick as ``(count, voter mask)`` classes by ascending count, none empty.
-    A pick with approver mask a gains ``steps[j] * |v & a|`` on each class
-    ``(j, v)`` and splits it into ``v & ~a``, staying at j, and ``v & a``,
-    which joins the stayers at j + 1.  The loop is iterative so that
-    thousands of seats do not exhaust the interpreter stack.
+    ``steps[j]`` is L // (j + 1), a voter's scaled gain when its count rises
+    from j to j + 1, up to the largest count any voter can reach here.  Each
+    level picks one member after the previous pick of the same pool, so
+    every combination is reached once and shares the work of its prefix.
+    ``stack[d]`` holds the voters before level d's pick as ``(count, voter
+    mask)`` classes by ascending count, none empty.  A pick with approver
+    mask a gains ``steps[j] * |v & a|`` on each class ``(j, v)`` and splits
+    it into ``v & ~a``, staying at j, and ``v & a``, which joins the
+    stayers at j + 1.  The loop is iterative so that thousands of seats do
+    not exhaust the interpreter stack.
     """
     levels = [(pool, s == 0, len(pool) - quota + s + 1)
               for pool, quota in subsets for s in range(quota)]
     depth = len(levels)
-    steps = [b - a for a, b in zip(table, table[1:])]  # steps[j]: gain of count j -> j+1
     stack = [[(0, (1 << num_voters) - 1)]] * depth  # the root: everyone at count 0
     picks, partial = [-1] * depth, [0] * depth
     best, best_members = -1, ()
     d = 0
     while d >= 0:
-        pool, fresh, end = levels[d]
+        pool, _, end = levels[d]
         p = picks[d] + 1
         if d + 1 == depth:  # the leaves left on this branch only sum their gains
             for p in range(p, end):

@@ -29,14 +29,15 @@ Two exact rules cut a branch before it is walked:
   ``capacity`` voters of a group: for each subset j, the sum of the top
   ``need[j]`` values of ``|approvers[c'] & group|`` over its members c' at
   or after the position, added over the subsets, and never more than the
-  group voters some such c' approves.  When t == 1 the group is every
-  unrepresented voter with a non-empty ballot, and the branch is cut when
-  the capacity is below its size; in the set-cover encoding this is the
-  classic "budget times best residual coverage < uncovered" test.  When
-  t >= 2 the groups are the unrepresented supporters S_c of each candidate
-  with |S_c| >= t, and the branch is cut when the capacity is below
-  |S_c| - t + 1.  A voter none of the remaining candidates can represent
-  counts against the capacity, so a dead ballot ends a branch as well.
+  group voters some such c' approves.  The groups form one list, and the
+  branch is cut when some group g with |g| >= t has a capacity below
+  |g| - t + 1.  When t >= 2 the list holds the distinct unrepresented
+  supporter sets S_c.  When t == 1 it holds one group, every unrepresented
+  voter with a non-empty ballot, so the test is "capacity below the
+  unrepresented count"; in the set-cover encoding this is the classic
+  "budget times best residual coverage < uncovered" test.  A voter none of
+  the remaining candidates can represent counts against the capacity, so a
+  dead ballot ends a branch as well.
 * *Packing* (t == 1 only, after the capacity test): take the lowest
   unrepresented voter, drop every voter that shares a remaining coverer
   (an approved candidate at or after the position in an open subset) with
@@ -146,9 +147,7 @@ def sw_jr_exists(
 
     def hopeless(pos: int, need: list[int], unrep: int) -> bool:
         """No completion keeps every candidate below t unrepresented supporters."""
-        if t == 1:
-            return capacity(pos, need, unrep) < unrep.bit_count()
-        for group in {approvers[c] & unrep for c in range(m)}:
+        for group in (unrep,) if t == 1 else {approvers[c] & unrep for c in range(m)}:
             size = group.bit_count()
             if size >= t and capacity(pos, need, group) < size - t + 1:
                 return True

@@ -171,6 +171,23 @@ def test_jr_wrapper_examples():
     assert verdict.witness.candidates == (0,)
 
 
+@pytest.mark.parametrize(
+    "ballots, problems",
+    [
+        ([{-1}], ["ballot 0 references unknown candidate ids [-1]"]),
+        ([{"0"}], ["ballot 0 references unknown candidate ids ['0']"]),
+        ([{0.5}], ["ballot 0 references unknown candidate ids [0.5]"]),
+    ],
+    ids=["negative-id", "string-id", "float-id"],
+)
+def test_jr_wrapper_names_a_bad_ballot_id(ballots, problems):
+    # only the int ids size the candidate pool, so any other id reaches
+    # validation and is named there
+    with pytest.raises(sv.BadBallot) as excinfo:
+        sv.check_jr(ballots, {0}, k=1)
+    assert excinfo.value.problems == problems
+
+
 def test_jr_wrapper_matches_sw_on_flat_instances():
     rng = random.Random(6)
     for _ in range(30):

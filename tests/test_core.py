@@ -168,6 +168,7 @@ def test_structural_violations_name_their_class_and_cause(inst, kind, problems):
         (2, [("C1", ["x", "y"], 1.0)], ["subset entry 0 field 'quota' must be an integer"]),
         (2, [("C1", ["x"], 1), (7, ["y"], 1)], ["subset entry 1 field 'name' has the wrong type"]),
         (2, [("C1", ["x", 5], 1)], ["subset entry 0 field 'candidates' must list strings"]),
+        (2, [("C1", ["x", ["y"]], 1)], ["subset entry 0 field 'candidates' must list strings"]),
         (2.0, [(None, ["x", 5], "1")], [
             "instance field 'voters' must be an integer",
             "subset entry 0 field 'name' has the wrong type",
@@ -176,7 +177,8 @@ def test_structural_violations_name_their_class_and_cause(inst, kind, problems):
         ]),
     ],
     ids=["float-voters", "true-voters", "string-voters", "true-quota", "float-quota",
-         "integer-subset-name", "integer-candidate-name", "all-in-check-order"],
+         "integer-subset-name", "integer-candidate-name", "list-candidate-name",
+         "all-in-check-order"],
 )
 def test_fields_parsing_rejects_fail_validation_in_its_words(voters, subsets, problems):
     with pytest.raises(sv.InvalidInstance) as excinfo:
@@ -225,6 +227,17 @@ def test_duplicate_candidate_name_rejected():
 def test_ballot_with_undeclared_name_rejected():
     with pytest.raises(sv.SemanticError):
         sv.ScvInstance.from_names(1, [("C1", ["x"], 1)], [["ghost"]])
+
+
+@pytest.mark.parametrize(
+    "entry, shown",
+    [("ghost", "'ghost'"), (5, "5"), (["x"], "['x']"), ({}, "{}")],
+    ids=["unknown-name", "integer-name", "list-name", "dict-name"],
+)
+def test_an_undeclared_or_unhashable_ballot_entry_is_named(entry, shown):
+    with pytest.raises(sv.SemanticError) as excinfo:
+        sv.ScvInstance.from_names(2, [("C1", ["x"], 1)], [["x"], ["x", entry]])
+    assert str(excinfo.value) == f"ballot 1 approves undeclared candidate {shown}"
 
 
 def test_validate_accepts_parsed_documents_too():

@@ -1,5 +1,6 @@
 """Greedy construction: traces, guarantees, and the slot-counting bound."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -139,6 +140,50 @@ def test_trace_serialization_round_trips_per_line():
         "support": 6,
         "newly_represented": [0, 1, 2, 3, 4, 5],
     }
+
+
+# SHA-256 of (sorted committee, every step as [phase, candidate, subset,
+# support, newly represented]): the fixtures, a party-list profile, and the
+# shapes of the benchmark's audit workload
+GOLDEN_RUNS = [
+    (fixtures.no_swjr_instance,
+     "db8244f880f513334a8973e6227f2d3506db4ef9f781951f49c75d0563ad9225"),
+    (fixtures.axiom_split_instance,
+     "103d0c79e579bf8e621ac672ba643bf70b487bdbe84d798f4d34bb5ea93190c6"),
+    (fixtures.pav_vs_swjr_instance,
+     "7a9518e9ad85da7c4862a8b71b27364fe7b63346a43f725a43297b957ad5a699"),
+    (fixtures.swpav_vs_iwjr_instance,
+     "fe62865dd27afaf08716a14f7daca7ceab486e45edb9b5d39a6ee67ef7e64002"),
+    (fixtures.swpav_misses_iwjr_instance,
+     "cb2c53ec099b0fcbf42da483100f65e2b5fe747887ad17f78a75e1f6a34abbf1"),
+    (fixtures.iwpav_vs_weak_instance,
+     "ed40ef3691058d09faa87578a97df925add35f01e127f8a91ff37215681d58e8"),
+    (lambda: sv.generate_instance(sv.PartyListModel(
+        (("Left", ("l1", "l2", "l3"), 2), ("Right", ("r1", "r2"), 1)),
+        ((4, ("l1", "r1")), (3, ("l2", "l3", "r2")), (2, ("l3",)), (1, ()))), 0),
+     "ce7cf5edc0b38e0c34d107ae31711ec6442b23bccb5e3d15fa92feb45cf6a327"),
+    (lambda: sv.generate_instance(sv.UniformModel(2000, (20, 20, 20), (3, 3, 3), 0.12), 1),
+     "1c9f6f2a605e129a22bf91776c6e2c0c94600c84731d54685d131a35c6737ce7"),
+    (lambda: sv.generate_instance(sv.UniformModel(2000, (20, 20, 20), (3, 3, 3), 0.12), 2),
+     "0e369c16d71b47f2927a1c65d137e9dfddb60bf8faab56259505ec93fe11b62d"),
+    (lambda: sv.generate_instance(sv.UniformModel(2000, (20, 20, 20), (3, 3, 3), 0.12), 3),
+     "e1c129c4def90ba4b51871f02f3f76619a3ad96fdd5e2f5d585e1a09f7ccdd94"),
+    (lambda: sv.generate_instance(sv.UniformModel(200, (3,) * 12, (1,) * 12, 0.6), 1),
+     "30c8a2eaf0bff325bb5875e29ad583800a56a38aff1ec9dfd3c20df42b2a0861"),
+]
+
+
+@pytest.mark.parametrize("build, digest", GOLDEN_RUNS, ids=[
+    "deadlock", "split", "rivalry", "tension", "misses", "blocks", "party-list",
+    "audit-2000-seed-1", "audit-2000-seed-2", "audit-2000-seed-3", "audit-200-by-12"])
+def test_committee_and_trace_match_their_golden_digest(build, digest):
+    committee, trace = sv.solve_greedy(build())
+    record = [
+        list(committee.sorted_members),
+        [[s.phase, s.candidate, s.subset, s.support, list(s.newly_represented)]
+         for s in trace.steps],
+    ]
+    assert hashlib.sha256(json.dumps(record).encode()).hexdigest() == digest
 
 
 # -- the slot-counting bound --------------------------------------------------------

@@ -243,6 +243,26 @@ def test_a_walk_a_thousand_levels_deep_is_found():
     assert stats == sv.SearchStats(nodes=1201, leaves=1)
 
 
+def test_stats_of_a_find_at_t_of_four():
+    # 12 voters, k = 3: a candidate keeping 4 unrepresented supporters
+    # violates the axiom, so the capacity test runs on every S_c group
+    inst = sv.generate_instance(sv.UniformModel(12, (4, 4, 4), (1, 1, 1), 0.3), 84)
+    stats = sv.SearchStats()
+    found = sv.sw_jr_exists(inst, stats=stats)
+    assert found.sorted_members == (0, 6, 8) == lexmin_passing(inst)
+    assert stats == sv.SearchStats(nodes=14, leaves=1, pruned_capacity=8)
+
+
+def test_stats_of_a_refutation_at_t_of_two():
+    # 6 voters, k = 3: no committee keeps every candidate below 2
+    # unrepresented supporters, and the walk ends without a leaf
+    inst = sv.generate_instance(sv.UniformModel(6, (4, 4), (2, 1), 0.2), 30)
+    stats = sv.SearchStats()
+    assert sv.sw_jr_exists(inst, stats=stats) is None
+    assert lexmin_passing(inst) is None
+    assert stats == sv.SearchStats(nodes=34, pruned_capacity=24)
+
+
 @pytest.mark.parametrize("build", FIXTURES)
 def test_search_stats_are_deterministic_and_change_nothing(build):
     inst = build()
