@@ -11,12 +11,14 @@ from __future__ import annotations
 import json
 import math
 import random
+import struct
 import sys
 from array import array
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations, compress, count, product, repeat
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from itertools import chain, combinations, compress, count, product, repeat
+from typing import Optional
 
 from .errors import (
     BadBallot,
@@ -173,23 +175,27 @@ class ScvInstance:
         """
         names: list[str] = []
         built: list[CandidateSubset] = []
-        seen: dict[str, str] = {}
-        bit_of: dict[str, int] = {}
-        for sub_name, cand_names, quota in subsets:
-            ids = []
-            for cand in cand_names:
+        for j, (sub_name, cand_names, quota) in enumerate(subsets):
+            if isinstance(cand_names, str) or not isinstance(cand_names, Iterable):
+                raise InvalidInstance([f"subset entry {j} field 'candidates' must list strings"])
+            start = len(names)
+            names += cand_names
+            built.append(CandidateSubset(sub_name, range(start, len(names)), quota))
+        try:  # one pass; a repeated or an unhashable name takes the loop below
+            bit_of = {name: 1 << c for c, name in enumerate(names)}
+        except TypeError:
+            bit_of = {}
+        if len(bit_of) != len(names):
+            bit_of, owner = {}, [sub.name for sub in built for _ in sub.members]
+            for c, cand in enumerate(names):
                 try:  # an unhashable name has a wrong type, which validation reports
-                    if cand in seen:
+                    if cand in bit_of:
+                        first = owner[bit_of[cand].bit_length() - 1]
                         raise SemanticError(
-                            f"candidate name {cand!r} declared twice "
-                            f"(in {seen[cand]!r} and {sub_name!r})"
-                        )
-                    seen[cand], bit_of[cand] = sub_name, 1 << len(names)
+                            f"candidate name {cand!r} declared twice (in {first!r} and {owner[c]!r})")
+                    bit_of[cand] = 1 << c
                 except TypeError:
                     pass
-                ids.append(len(names))
-                names.append(cand)
-            built.append(CandidateSubset(sub_name, tuple(ids), quota))
         rows = _resolve_ballots(bit_of, ballots)
         return cls._from_rows(num_voters, names, built, rows)
 
@@ -202,13 +208,16 @@ class ScvInstance:
         rows: Sequence[int],
     ) -> "ScvInstance":
         """Build and validate an instance whose :attr:`ballot_rows` are
-        ``rows``, one candidate bitmask per voter."""
+        ``rows``, whose names are distinct and whose subsets number their
+        members 0 .. m-1 in declaration order, once each: its partition
+        holds by construction and the sizes give its subset index."""
         inst = cls.__new__(cls)
         inst.__dict__.update(
             num_voters=num_voters,
             candidate_names=tuple(names),
             subsets=tuple(subsets),
             ballot_rows=tuple(rows),
+            subset_index=tuple(chain.from_iterable([j] * s.size for j, s in enumerate(subsets))),
         )
         return _validated(inst, None)
 
@@ -235,10 +244,14 @@ def validate_instance(raw) -> ScvInstance:
 def _resolve_ballots(bit_of: Mapping[str, int], ballots) -> tuple[int, ...]:
     """One candidate bitmask per ballot of names, ``bit_of[name]`` summed.
 
-    A name repeated within a ballot counts once.  Raises
-    :class:`SemanticError` naming the first ballot with an undeclared name.
+    A name repeated within a ballot counts once.  A string, which iterates
+    over its characters, and a non-iterable are no ballot (:class:`InvalidInstance`);
+    :class:`SemanticError` names the first ballot with an undeclared name.
     """
     ballots = list(ballots)
+    if not all(issubclass(t, Iterable) and not issubclass(t, str) for t in set(map(type, ballots))):
+        i = next(i for i, b in enumerate(ballots) if isinstance(b, str) or not isinstance(b, Iterable))
+        raise InvalidInstance([f"ballot entry {i} must be a list of candidate names"])
     try:
         sizes = list(map(len, ballots))
     except TypeError:  # a ballot without a length, such as a generator
@@ -255,8 +268,9 @@ def _resolve_ballots(bit_of: Mapping[str, int], ballots) -> tuple[int, ...]:
                     raise SemanticError(
                         f"ballot {i} approves undeclared candidate {name!r}") from None
     # a sum of distinct bits has one bit per term: fewer means a repeated name
-    for i in compress(range(len(rows)), map(int.__ne__, map(int.bit_count, rows), sizes)):
-        rows[i] = sum(map(bit_of.__getitem__, set(ballots[i])))
+    if list(map(int.bit_count, rows)) != sizes:
+        for i in compress(range(len(rows)), map(int.__ne__, map(int.bit_count, rows), sizes)):
+            rows[i] = sum(map(bit_of.__getitem__, set(ballots[i])))
     return tuple(rows)
 
 
@@ -267,8 +281,8 @@ def _decode_rows(rows: Iterable[int]) -> tuple[frozenset[int], ...]:
 
 def _validated(inst: ScvInstance, ballots) -> ScvInstance:
     """:func:`validate_instance` on an instance with the given ballots, or,
-    with None, on one resolved from names: its ids are in range by
-    construction and it has one ballot per row."""
+    with None, on one built by :meth:`ScvInstance._from_rows`: its names
+    and partition hold by construction and it has one ballot per row."""
     problems: list[tuple[type, str]] = []  # (class, message), in check order
     m = inst.num_candidates
 
@@ -295,31 +309,30 @@ def _validated(inst: ScvInstance, ballots) -> ScvInstance:
     got = len(inst.ballot_rows if ballots is None else ballots)
     if counted and got != inst.num_voters:
         problems.append((InvalidInstance, f"expected {inst.num_voters} ballots, got {got}"))
-    if _repeats(inst.candidate_names):
+    if ballots is not None and _repeats(inst.candidate_names):
         problems.append((InvalidInstance, "candidate names are not unique"))
     if _repeats([s.name for s in inst.subsets]):
         problems.append((InvalidInstance, "subset names are not unique"))
 
-    seen: dict[int, str] = {}
-    for sub in inst.subsets:
-        members = sub.members
-        # ids resolved from names are ints by construction; others are compared
-        # only once they are
-        if ballots is not None and not all(map(isinstance, members, repeat(int))):
-            problems += [(PartitionBroken, f"subset {sub.name!r} lists out-of-range id {c!r}")
-                         for c in members if not isinstance(c, int)]
-            members = [c for c in members if isinstance(c, int)]
-        for c in members:
-            if not 0 <= c < m:
-                problems.append((PartitionBroken, f"subset {sub.name!r} lists out-of-range id {c}"))
-            elif c in seen:
-                problems.append((PartitionBroken,
-                                 f"candidate id {c} appears in both {seen[c]!r} and {sub.name!r}"))
-            else:
-                seen[c] = sub.name
-    missing = [c for c in range(m) if c not in seen]
-    if missing:
-        problems.append((PartitionBroken, f"candidate ids {_id_list(missing)} belong to no subset"))
+    if ballots is not None:  # see _from_rows for the instances skipped
+        seen: dict[int, str] = {}
+        for sub in inst.subsets:
+            members = sub.members
+            if not all(map(isinstance, members, repeat(int))):  # only int ids are compared
+                problems += [(PartitionBroken, f"subset {sub.name!r} lists out-of-range id {c!r}")
+                             for c in members if not isinstance(c, int)]
+                members = [c for c in members if isinstance(c, int)]
+            for c in members:
+                if not 0 <= c < m:
+                    problems.append((PartitionBroken, f"subset {sub.name!r} lists out-of-range id {c}"))
+                elif c in seen:
+                    problems.append((PartitionBroken,
+                                     f"candidate id {c} appears in both {seen[c]!r} and {sub.name!r}"))
+                else:
+                    seen[c] = sub.name
+        missing = [c for c in range(m) if c not in seen]
+        if missing:
+            problems.append((PartitionBroken, f"candidate ids {_id_list(missing)} belong to no subset"))
 
     for sub in inst.subsets:
         if _is_int(sub.quota) and not 1 <= sub.quota <= sub.size:
@@ -446,7 +459,8 @@ def _transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
     holds bit c of row i.  Six delta swaps transpose every 64x64 block at
     once; word c of each block then holds 64 bits of column c, and one
     strided slice of the words collects them.  The words are only sliced,
-    never read as numbers, so the host's byte order does not matter.
+    or, with one block, unpacked at once as little-endian words, so the
+    host's byte order does not matter.
     """
     size = -(-width // 64)  # words per row
     blocks = -(-len(rows) // 64)
@@ -461,8 +475,9 @@ def _transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
         for shift, mask in swaps:
             t = (x >> shift ^ x) & mask
             x ^= t ^ t << shift
-        out = array("Q", x.to_bytes(512 * blocks, "little"))
-        columns += [int.from_bytes(out[c::64], "little") for c in range(min(64, width - 64 * w))]
+        out, last = array("Q", x.to_bytes(512 * blocks, "little")), min(64, width - 64 * w)
+        columns += struct.unpack("<64Q", out)[:last] if blocks == 1 else [
+            int.from_bytes(out[c::64], "little") for c in range(last)]
     return tuple(columns)
 
 
@@ -548,7 +563,7 @@ def instance_from_document(doc: Mapping) -> ScvInstance:
         name = _require(sub, "name", str, where)
         cands = _require(sub, "candidates", list, where)
         quota = _require(sub, "quota", int, where)
-        if not all(isinstance(c, str) for c in cands):
+        if not all(map(isinstance, cands, repeat(str))):
             raise ParseError(f"{where} field 'candidates' must list strings")
         subsets.append((name, cands, quota))
     # only strings resolve to ids, so the name-by-name type check runs only

@@ -240,6 +240,28 @@ def test_an_undeclared_or_unhashable_ballot_entry_is_named(entry, shown):
     assert str(excinfo.value) == f"ballot 1 approves undeclared candidate {shown}"
 
 
+@pytest.mark.parametrize(
+    "subsets, ballots, problem",
+    [
+        ([("C", ["x"], 1)], [5], "ballot entry 0 must be a list of candidate names"),
+        ([("C", ["x"], 1)], [None], "ballot entry 0 must be a list of candidate names"),
+        ([("C", 5, 1)], [[]], "subset entry 0 field 'candidates' must list strings"),
+        ([("C", "x", 1)], ["x"], "subset entry 0 field 'candidates' must list strings"),
+        ([("C", ["x"], 1)], [["x"], "x"], "ballot entry 1 must be a list of candidate names"),
+        ([("C1", ["x"], 1), ("C2", None, 1)], [[]],
+         "subset entry 1 field 'candidates' must list strings"),
+    ],
+    ids=["integer-ballot", "null-ballot", "integer-candidates", "string-candidates",
+         "string-ballot", "null-candidates-after-a-list"],
+)
+def test_a_ballot_or_candidates_field_that_lists_no_names_is_invalid(subsets, ballots, problem):
+    # a string would otherwise be read as its characters
+    with pytest.raises(sv.InvalidInstance) as excinfo:
+        sv.ScvInstance.from_names(len(ballots), subsets, ballots)
+    assert type(excinfo.value) is sv.InvalidInstance
+    assert excinfo.value.problems == [problem]
+
+
 def test_validate_accepts_parsed_documents_too():
     doc = {
         "voters": 1,
@@ -322,7 +344,12 @@ def test_rows_and_masks_match_a_naive_resolver(voters, candidates, density, seed
         ballots.append([] if rng.random() < 0.1 else ballot)
     ids, rows, masks = _naive(names, ballots)
 
+    # the subset of each name, found by name, as resolution must store it
+    index = tuple(next(j for j, (_, members, _) in enumerate(subsets) if name in members)
+                  for name in names)
+
     inst = sv.ScvInstance.from_names(voters, subsets, ballots)
+    assert inst.__dict__["subset_index"] == index
     assert inst.ballot_rows == rows
     assert inst.approver_masks == masks
     assert inst.ballots == ids
@@ -331,10 +358,26 @@ def test_rows_and_masks_match_a_naive_resolver(voters, candidates, density, seed
     assert by_ids.approver_masks == masks
 
     parsed = sv.parse_instance(sv.serialize_instance(inst))
+    assert parsed.__dict__["subset_index"] == index
     assert "ballots" not in parsed.__dict__
     assert hash(parsed) == hash(by_ids) == hash(inst)
     assert parsed == by_ids == inst
     assert parsed.approver_masks == masks
+
+
+@pytest.mark.parametrize("voters", [1, 63, 64])
+@pytest.mark.parametrize("candidates", [1, 64, 65, 130])
+def test_a_one_block_transpose_reads_the_columns_of_two_blocks(voters, candidates):
+    # one block unpacks its words at once, two slice them: empty voters pad
+    # the same rows to a second block, which adds no bit to any column
+    rng = random.Random(voters * 1000 + candidates)
+    rows = [(1 << candidates) - 1] + [rng.getrandbits(candidates) for _ in range(voters - 1)]
+    one = core._transpose(rows, candidates)
+    two = core._transpose(rows + [0] * (128 - voters), candidates)
+    assert one == two
+    assert one == tuple(
+        sum((row >> c & 1) << i for i, row in enumerate(rows)) for c in range(candidates)
+    )
 
 
 def test_the_mask_paths_never_decode_the_ballots(monkeypatch):
@@ -845,6 +888,40 @@ GOLDEN_DRAWS = [
 def test_generators_draw_the_golden_instances(model, seed, digest):
     text = sv.serialize_instance(sv.generate_instance(model, seed))
     assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@st.composite
+def constructed_instances(draw, kind):
+    """Instances that :meth:`ScvInstance._from_rows` builds: ``from_names``
+    draws and the draws of each generator model."""
+    if kind == "names":
+        return sv.ScvInstance.from_names(*draw(instance_args()))
+    if kind == "uniform":
+        sizes = draw(st.lists(st.integers(1, 4), min_size=1, max_size=3))
+        quotas = [draw(st.integers(1, size)) for size in sizes]
+        model = sv.UniformModel(draw(st.integers(1, 6)), sizes, quotas, draw(st.floats(0, 1)))
+    elif kind == "party-list":
+        _, subsets, ballots = draw(instance_args())
+        model = sv.PartyListModel(subsets, [(draw(st.integers(1, 3)), b) for b in ballots])
+    else:
+        entries = draw(st.integers(1, 5))
+        model = sv.SetCoverModel(draw(st.integers(1, 6)), entries, draw(st.floats(0, 1)),
+                                 draw(st.integers(1, entries)))
+    return sv.generate_instance(model, draw(st.integers(0, 2**32 - 1)))
+
+
+@pytest.mark.parametrize("kind", ["names", "uniform", "party-list", "set-cover"])
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_constructed_instances_number_their_members_in_declaration_order(kind, data):
+    # what lets validation skip the partition and name checks of these instances
+    inst = data.draw(constructed_instances(kind))
+    members = [c for sub in inst.subsets for c in sub.members]
+    assert members == list(range(inst.num_candidates))
+    assert len(set(inst.candidate_names)) == inst.num_candidates
+    by_ids = sv.ScvInstance(inst.num_voters, inst.candidate_names, inst.subsets, inst.ballots)
+    assert sv.validate_instance(by_ids) == inst
+    assert inst.__dict__["subset_index"] == by_ids.subset_index
 
 
 def test_generated_instances_always_validate():
