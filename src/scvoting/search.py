@@ -26,18 +26,22 @@ Two exact rules cut a branch before it is walked:
   iff every candidate keeps at most t - 1 unrepresented supporters, so
   every group of voters that needs a representative must get enough of
   them from the open slots.  The open slots can represent at most
-  ``capacity`` voters of a group: for each subset j, the sum of the top
-  ``need[j]`` values of ``|approvers[c'] & group|`` over its members c' at
-  or after the position, added over the subsets, and never more than the
-  group voters some such c' approves.  The groups form one list, and the
-  branch is cut when some group g with |g| >= t has a capacity below
-  |g| - t + 1.  When t >= 2 the list holds the distinct unrepresented
-  supporter sets S_c.  When t == 1 it holds one group, every unrepresented
-  voter with a non-empty ballot, so the test is "capacity below the
-  unrepresented count"; in the set-cover encoding this is the classic
-  "budget times best residual coverage < uncovered" test.  A voter none of
-  the remaining candidates can represent counts against the capacity, so a
-  dead ballot ends a branch as well.
+  ``capacity`` voters of a group: ``top``, the sum over the open subsets j
+  of the top ``need[j]`` gains ``|approvers[c'] & group|`` over j's members
+  c' at or after the position, and never more than the group voters some
+  such c' approves.  The branch is cut when some group g with |g| >= t has
+  a capacity below |g| - t + 1.  When t >= 2 the groups are the distinct
+  unrepresented supporter sets S_c.  When t == 1 the one group is every
+  unrepresented voter with a non-empty ballot; in the set-cover encoding
+  this is the classic "budget times best residual coverage < uncovered"
+  test.  A voter none of the remaining candidates can represent counts
+  against the capacity, so a dead ballot ends a branch as well.  A child c
+  of subset j is cut from its parent's bound: each group of c is a parent
+  group g less c's approvers, whose capacity is at most ``top - drops[j]``
+  (``drops[j]``: the least of j's gains in ``top``).  So a node keeps the
+  groups that can cut a child and, at one AND and one bit count, skips c
+  when g less c's approvers keeps ``top - drops[j] + t`` voters or more;
+  c counts as a node cut by the capacity rule, as it would count itself.
 * *Packing* (t == 1 only, after the capacity test): take the lowest
   unrepresented voter, drop every voter that shares a remaining coverer
   (an approved candidate at or after the position in an open subset) with
@@ -71,6 +75,8 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import accumulate, repeat
+from operator import and_, or_
 from typing import Iterator, Optional
 
 from .core import (
@@ -90,14 +96,15 @@ DEFAULT_SEARCH_BUDGET = 10_000_000
 class SearchStats:
     """Work done by :func:`sw_jr_exists`; each call adds to the counts.
 
-    ``nodes`` counts the search nodes entered (root, inner nodes and
-    leaves); the members of forced subsets (quota equal to size) are taken
+    ``nodes`` counts the search nodes: root, inner nodes and leaves, and
+    the children cut from their parent's capacity bound without being
+    entered; the members of forced subsets (quota equal to size) are taken
     before the walk and take no node.  ``leaves`` counts the complete
     committees that pass the capacity rule and are re-verified with
     ``check_sw_jr``: such a leaf satisfies the axiom and ends the search, so
     there is at most one per call.  ``pruned_capacity`` / ``pruned_packing``
-    count the nodes cut by each prune rule, leaves cut by the capacity rule
-    among them.
+    count the nodes cut by each prune rule, leaves and children cut from
+    their parent's bound among the capacity cuts.
     """
 
     nodes: int = 0
@@ -123,35 +130,45 @@ def sw_jr_exists(
     if stats is None:
         stats = SearchStats()
 
-    m = inst.num_candidates
     t = -(-inst.num_voters // inst.committee_size)
     subset_of = inst.subset_index
     members = [tuple(sorted(sub.members)) for sub in inst.subsets]
     member_bits = [sum(1 << c for c in ids) for ids in members]
     approvers = inst.approver_masks
+    # each subset's approver masks in id order, and their unions from each on
+    masks = [[approvers[c] for c in ids] for ids in members]
+    tails = [list(accumulate(reversed(ms), or_))[::-1] for ms in masks]
     rows = inst.ballot_rows
 
-    def capacity(pos: int, need: list[int], group: int) -> int:
-        """Most voters of ``group`` the open slots can still represent."""
-        top = covered = 0
+    def capacity(pos: int, need: list[int], group: int) -> tuple[int, int, list[int]]:
+        """Most voters of ``group`` the open slots can still represent, the
+        sum ``top`` of the top gains, and each open subset j's least gain in it."""
+        top = reach = 0
+        drops = need[:]  # 0 for every closed subset
         for j, left in enumerate(need):
             if left:
+                i = bisect_left(members[j], pos)
+                reach |= tails[j][i]
                 gains = []
-                for c in members[j][bisect_left(members[j], pos):]:
-                    hit = approvers[c] & group
-                    covered |= hit
-                    gains.append(hit.bit_count())
+                for mask in masks[j][i:]:
+                    gains.append((mask & group).bit_count())
                 gains.sort(reverse=True)
                 top += sum(gains[:left])
-        return min(top, covered.bit_count())
+                drops[j] = gains[left - 1]
+        return min(top, (reach & group).bit_count()), top, drops
 
-    def hopeless(pos: int, need: list[int], unrep: int) -> bool:
-        """No completion keeps every candidate below t unrepresented supporters."""
-        for group in (unrep,) if t == 1 else {approvers[c] & unrep for c in range(m)}:
+    def cutters(pos: int, need: list[int], unrep: int) -> Optional[list]:
+        """None if the node is cut, else each ``(group, top + t, drops)`` that can cut a child."""
+        cuts = []
+        for group in (unrep,) if t == 1 else set(map(and_, approvers, repeat(unrep))):
             size = group.bit_count()
-            if size >= t and capacity(pos, need, group) < size - t + 1:
-                return True
-        return False
+            if size >= t:
+                most, top, drops = capacity(pos, need, group)
+                if most < size - t + 1:
+                    return None
+                if size + max(drops) >= top + t:
+                    cuts.append((group, top + t, drops))
+        return cuts
 
     def overpacked(pos: int, need: list[int], unrep: int) -> bool:
         """More unrepresented voters need pairwise distinct members than
@@ -188,16 +205,17 @@ def sw_jr_exists(
         need[subset_of[c]] = 0
         unrep &= ~approvers[c]
     # one entry per open node on the path: an iterator over the candidate
-    # ids left to try below it, its unrepresented voters, and the member
-    # picked there (-1 before the first pick), so ``chosen`` holds the
-    # members of the path
+    # ids left to try below it, its unrepresented voters with the groups
+    # that can cut its children, and the member picked there (-1 before the
+    # first pick), so ``chosen`` holds the members of the path
     walks: list[Iterator[int]] = []
-    unreps: list[int] = []
+    frames: list[tuple[int, list]] = []
     chosen: list[int] = []
     pos = 0
     while True:
         stats.nodes += 1
-        if hopeless(pos, need, unrep):
+        groups = cutters(pos, need, unrep)
+        if groups is None:
             stats.pruned_capacity += 1
         elif not any(need):
             # with no open slot the capacity rule is the axiom itself
@@ -212,7 +230,7 @@ def sw_jr_exists(
             # subset would lack the members to fill its slots
             stop = min(ids[-left] for left, ids in zip(need, members) if left) + 1
             walks.append(iter(range(pos, stop)))
-            unreps.append(unrep)
+            frames.append((unrep, groups))
             chosen.append(-1)
         # move to the next child of the deepest open node
         while walks:
@@ -222,15 +240,22 @@ def sw_jr_exists(
             for c in walks[-1]:
                 j = subset_of[c]
                 if need[j]:
-                    break
+                    # c's own capacity test would cut it (*Coverage capacity*)
+                    for group, bound, drops in frames[-1][1]:
+                        if (group & ~approvers[c]).bit_count() + drops[j] >= bound:
+                            stats.nodes += 1
+                            stats.pruned_capacity += 1
+                            break
+                    else:
+                        break
             else:
                 walks.pop()
-                unreps.pop()
+                frames.pop()
                 chosen.pop()
                 continue
             need[j] -= 1
             chosen[-1] = c
-            pos, unrep = c + 1, unreps[-1] & ~approvers[c]
+            pos, unrep = c + 1, frames[-1][0] & ~approvers[c]
             break
         else:
             return None

@@ -53,6 +53,21 @@ def partitioned(groups, ballots):
     return sv.validate_instance(sv.ScvInstance(len(ballots), names, subsets, ballots))
 
 
+def doubled_voters(sc):
+    """t = 2 encoding of a cover question: two identical voters per ground
+    element, and g unapproved fillers in a first subset of quota g - budget,
+    so that k = g and n = 2g.  A committee passes the span-wide axiom iff
+    its entries cover the ground set."""
+    g = sc.ground_size
+    entries = [f"s{j + 1}" for j in range(len(sc.collection))]
+    ballots = [[entries[j] for j, entry in enumerate(sc.collection) if i in entry] for i in range(g)]
+    return sv.ScvInstance.from_names(
+        2 * g,
+        [("F", [f"f{i + 1}" for i in range(g)], g - sc.budget), ("C", entries, sc.budget)],
+        [ballot for ballot in ballots for _ in range(2)],
+    )
+
+
 # the forced subset {1, 2} lies between the ids of the open {0, 4} and {3, 5}
 AROUND_FORCED = [((0, 4), 1), ((1, 2), 2), ((3, 5), 1)]
 
@@ -353,6 +368,36 @@ def test_exact_fit_cover_survives_the_capacity_prune():
     assert found is not None
     chosen = sv.decode_committee_to_cover(sc, found)
     assert sorted(sorted(sc.collection[j]) for j in chosen) == [[0, 1], [2, 3], [4, 5], [6, 7]]
+
+
+def test_stats_of_the_pairs_of_eight_find():
+    # most nodes are children cut by the capacity rule as soon as they open
+    stats = sv.SearchStats()
+    assert sv.sw_jr_exists(sv.encode_set_cover(all_pairs(8, 4)), stats=stats) is not None
+    assert stats == sv.SearchStats(nodes=29, leaves=1, pruned_capacity=24)
+
+
+def test_stats_of_a_doubled_voter_refutation_at_t_of_two():
+    sc = sv.generate_set_cover(sv.SetCoverModel(10, 14, 0.2, 3), 2)
+    inst = doubled_voters(sc)
+    assert -(-inst.num_voters // inst.committee_size) == 2
+    assert not cover_exists(sc)
+    stats = sv.SearchStats()
+    assert sv.sw_jr_exists(inst, stats=stats) is None
+    assert stats == sv.SearchStats(nodes=5970, pruned_capacity=5280)
+
+
+def test_doubled_voter_encodings_match_the_cover_oracle():
+    rng = random.Random(33)
+    for _ in range(40):
+        ground, entries = rng.randint(2, 6), rng.randint(2, 7)
+        budget = rng.randint(1, min(ground - 1, entries))
+        model = sv.SetCoverModel(ground, entries, rng.uniform(0.2, 0.6), budget)
+        sc = sv.generate_set_cover(model, seed=rng.randrange(2**32))
+        inst = doubled_voters(sc)
+        found = sv.sw_jr_exists(inst)
+        assert (found is not None) == cover_exists(sc)
+        assert (None if found is None else found.sorted_members) == lexmin_passing(inst)
 
 
 def test_packing_refutes_a_cover_the_capacity_allows():
