@@ -171,9 +171,9 @@ def _weak_violation(inst: ScvInstance, won: frozenset[int]) -> Optional[tuple]:
     common supporters.
 
     Depth-first over subsets in order, candidates in ascending id, pruning a
-    branch as soon as the running supporter intersection drops below n/k.
-    Exact, but exponential in the number of subsets in the worst case.  The
-    walk keeps its own stack, so any number of subsets fits.
+    branch once the running supporter intersection drops below n/k.  Exact,
+    but exponential in the number of subsets in the worst case.  The walk
+    keeps its own stack, one frame per open node, so any number of subsets fits.
     """
     n, k = inst.num_voters, inst.committee_size
     pool = _unrepresented(inst, won)
@@ -189,25 +189,24 @@ def _weak_violation(inst: ScvInstance, won: frozenset[int]) -> Optional[tuple]:
             return None
         levels.append(level)
 
-    # groups[d] is the supporter intersection of the first d choices, and
-    # picks[d] the index in levels[d] tried last
-    groups, picks = [pool], [-1]
-    while picks:
-        d = len(picks) - 1
-        for p in range(picks[d] + 1, len(levels[d])):
-            narrowed = groups[d] & levels[d][p][1]
+    # one frame per open level d: the supporter intersection of the first
+    # d choices and the index in levels[d] tried last
+    path = [[pool, -1]]
+    while path:
+        d = len(path) - 1
+        group, last = path[d]
+        for p in range(last + 1, len(levels[d])):
+            narrowed = group & levels[d][p][1]
             if narrowed.bit_count() * k >= n:
                 break
         else:
-            picks.pop()
-            groups.pop()
+            path.pop()
             continue
-        picks[d] = p
+        path[d][1] = p
         if d + 1 == len(levels):
-            chosen = tuple(level[q][0] for level, q in zip(levels, picks))
+            chosen = tuple(level[q][0] for level, (_, q) in zip(levels, path))
             return narrowed, chosen, None
-        groups.append(narrowed)
-        picks.append(-1)
+        path.append([narrowed, -1])
     return None
 
 

@@ -119,31 +119,14 @@ def run(argv) -> int:
     """Execute one invocation; returns the exit code instead of exiting."""
     try:
         args = build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _HANDLERS[args.command](args)
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    handler = {
-        "validate": _cmd_validate,
-        "check": _cmd_check,
-        "solve": _cmd_solve,
-        "score": _cmd_score,
-        "exists": _cmd_exists,
-        "gen": _cmd_gen,
-        "encode-setcover": _cmd_encode_setcover,
-    }[args.command]
-    try:
-        return handler(args)
-    except _UsageError as exc:
+    except (_UsageError, ScvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except BudgetExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except (ScvError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        if isinstance(exc, _UsageError):
+            return EXIT_USAGE
+        return EXIT_BUDGET if isinstance(exc, BudgetExceeded) else EXIT_INVALID
 
 
 def main() -> None:
@@ -340,6 +323,11 @@ def _cmd_gen(args) -> int:
 def _cmd_encode_setcover(args) -> int:
     sc = parse_set_cover(_read(args.setcover))
     return _write_instance(args, search.encode_set_cover(sc))
+
+
+_HANDLERS = {"validate": _cmd_validate, "check": _cmd_check, "solve": _cmd_solve,
+             "score": _cmd_score, "exists": _cmd_exists, "gen": _cmd_gen,
+             "encode-setcover": _cmd_encode_setcover}
 
 
 if __name__ == "__main__":

@@ -244,13 +244,15 @@ def validate_instance(raw) -> ScvInstance:
 def _resolve_ballots(bit_of: Mapping[str, int], ballots) -> tuple[int, ...]:
     """One candidate bitmask per ballot of names, ``bit_of[name]`` summed.
 
-    A name repeated within a ballot counts once.  A string, which iterates
-    over its characters, and a non-iterable are no ballot (:class:`InvalidInstance`);
+    A name repeated within a ballot counts once.  A string or a mapping (which
+    iterate over characters or keys) and a non-iterable are no ballot (:class:`InvalidInstance`);
     :class:`SemanticError` names the first ballot with an undeclared name.
     """
     ballots = list(ballots)
-    if not all(issubclass(t, Iterable) and not issubclass(t, str) for t in set(map(type, ballots))):
-        i = next(i for i, b in enumerate(ballots) if isinstance(b, str) or not isinstance(b, Iterable))
+    if not all(issubclass(t, Iterable) and not issubclass(t, (str, Mapping))
+               for t in set(map(type, ballots))):
+        i = next(i for i, b in enumerate(ballots)
+                 if isinstance(b, (str, Mapping)) or not isinstance(b, Iterable))
         raise InvalidInstance([f"ballot entry {i} must be a list of candidate names"])
     try:
         sizes = list(map(len, ballots))
@@ -570,18 +572,14 @@ def instance_from_document(doc: Mapping) -> ScvInstance:
     # when resolution fails; it reports a badly typed ballot before any
     # unknown or duplicate name, as a check ahead of resolution would
     try:
-        if all(map(isinstance, raw_ballots, repeat(list))):
-            return ScvInstance.from_names(voters, subsets, raw_ballots)
-    except InvalidInstance as exc:
-        raise SemanticError(str(exc), problems=exc.problems) from exc
-    except SemanticError:
-        pass
-    for idx, ballot in enumerate(raw_ballots):
-        if not isinstance(ballot, list) or not all(
-            isinstance(c, str) for c in ballot
-        ):
-            raise ParseError(f"ballot entry {idx} must be a list of candidate names")
-    return ScvInstance.from_names(voters, subsets, raw_ballots)  # raises the SemanticError again
+        return ScvInstance.from_names(voters, subsets, raw_ballots)
+    except (InvalidInstance, SemanticError) as exc:
+        for idx, ballot in enumerate(raw_ballots):
+            if not isinstance(ballot, list) or not all(isinstance(c, str) for c in ballot):
+                raise ParseError(f"ballot entry {idx} must be a list of candidate names") from None
+        if isinstance(exc, InvalidInstance):
+            raise SemanticError(str(exc), problems=exc.problems) from exc
+        raise
 
 
 def _load_json(text: str):

@@ -4,9 +4,9 @@ Deciding whether any feasible committee satisfies the span-wide axiom is
 NP-complete, so :func:`sw_jr_exists` is an exact exponential backtracking
 search: it walks candidate ids in increasing order, growing a committee one
 member at a time, on an explicit stack so that committees of any size fit.
-Its state is the list of chosen members, the open slots of each subset, and
-the unrepresented voters with a non-empty ballot as a Python-int bitmask:
-choosing c maps the mask ``unrep`` to ``unrep & ~approvers[c]``, where
+The stack holds one frame per open node: the ids left to try, the member
+picked there, and the unrepresented voters with a non-empty ballot as a
+bitmask ``unrep``, which choosing c maps to ``unrep & ~approvers[c]``, where
 ``approvers`` is ``inst.approver_masks`` (bit i set when voter i approves c).
 
 A subset whose quota equals its size lies whole in every feasible committee.
@@ -77,7 +77,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from itertools import accumulate, repeat
 from operator import and_, or_
-from typing import Iterator, Optional
+from typing import Optional
 
 from .core import (
     Committee,
@@ -204,13 +204,10 @@ def sw_jr_exists(
     for c in forced:
         need[subset_of[c]] = 0
         unrep &= ~approvers[c]
-    # one entry per open node on the path: an iterator over the candidate
-    # ids left to try below it, its unrepresented voters with the groups
-    # that can cut its children, and the member picked there (-1 before the
-    # first pick), so ``chosen`` holds the members of the path
-    walks: list[Iterator[int]] = []
-    frames: list[tuple[int, list]] = []
-    chosen: list[int] = []
+    # one frame per open node on the path: an iterator over the ids left to
+    # try below it, its unrepresented voters, the groups that can cut its
+    # children, and the member picked there (-1 before the first pick)
+    path: list[list] = []
     pos = 0
     while True:
         stats.nodes += 1
@@ -220,7 +217,7 @@ def sw_jr_exists(
         elif not any(need):
             # with no open slot the capacity rule is the axiom itself
             stats.leaves += 1
-            committee = Committee(frozenset(forced + chosen))
+            committee = Committee(frozenset(forced + [frame[3] for frame in path]))
             if check_sw_jr(inst, committee).satisfied:
                 return committee
         elif t == 1 and overpacked(pos, need, unrep):
@@ -229,19 +226,17 @@ def sw_jr_exists(
             # past the need[j]-th last member of an open subset j, that
             # subset would lack the members to fill its slots
             stop = min(ids[-left] for left, ids in zip(need, members) if left) + 1
-            walks.append(iter(range(pos, stop)))
-            frames.append((unrep, groups))
-            chosen.append(-1)
+            path.append([iter(range(pos, stop)), unrep, groups, -1])
         # move to the next child of the deepest open node
-        while walks:
-            c = chosen[-1]
+        while path:
+            walk, unrep, groups, c = frame = path[-1]
             if c >= 0:
                 need[subset_of[c]] += 1
-            for c in walks[-1]:
+            for c in walk:
                 j = subset_of[c]
                 if need[j]:
                     # c's own capacity test would cut it (*Coverage capacity*)
-                    for group, bound, drops in frames[-1][1]:
+                    for group, bound, drops in groups:
                         if (group & ~approvers[c]).bit_count() + drops[j] >= bound:
                             stats.nodes += 1
                             stats.pruned_capacity += 1
@@ -249,13 +244,11 @@ def sw_jr_exists(
                     else:
                         break
             else:
-                walks.pop()
-                frames.pop()
-                chosen.pop()
+                path.pop()
                 continue
             need[j] -= 1
-            chosen[-1] = c
-            pos, unrep = c + 1, frames[-1][0] & ~approvers[c]
+            frame[3] = c
+            pos, unrep = c + 1, unrep & ~approvers[c]
             break
         else:
             return None

@@ -250,9 +250,12 @@ def test_an_undeclared_or_unhashable_ballot_entry_is_named(entry, shown):
         ([("C", ["x"], 1)], [["x"], "x"], "ballot entry 1 must be a list of candidate names"),
         ([("C1", ["x"], 1), ("C2", None, 1)], [[]],
          "subset entry 1 field 'candidates' must list strings"),
+        ([("C", ["x"], 1)], [{"x": 1}], "ballot entry 0 must be a list of candidate names"),
+        ([("C", ["x"], 1)], [["x"], {"x": 1}], "ballot entry 1 must be a list of candidate names"),
     ],
     ids=["integer-ballot", "null-ballot", "integer-candidates", "string-candidates",
-         "string-ballot", "null-candidates-after-a-list"],
+         "string-ballot", "null-candidates-after-a-list", "mapping-ballot",
+         "mapping-ballot-after-a-list"],
 )
 def test_a_ballot_or_candidates_field_that_lists_no_names_is_invalid(subsets, ballots, problem):
     # a string would otherwise be read as its characters
@@ -630,6 +633,35 @@ def test_ballot_diagnostics_keep_their_class_and_order(subsets, ballots, voters,
         sv.parse_instance(json.dumps(doc))
     assert type(excinfo.value) is kind
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize(
+    "ballots, voters, kind, message",
+    [
+        ([["a"], ["ghost"]], 2, sv.SemanticError, "ballot 1 approves undeclared candidate 'ghost'"),
+        ([["a"], ["ghost"]], 3, sv.SemanticError, "ballot 1 approves undeclared candidate 'ghost'"),
+        ([["a"], ["b"]], 3, sv.SemanticError, "expected 3 ballots, got 2"),
+        ([["a"], ["b"]], 2, None, None),
+    ],
+    ids=["unknown-name", "unknown-name-and-wrong-ballot-count", "wrong-ballot-count", "valid"],
+)
+def test_a_document_resolves_its_ballots_once(monkeypatch, ballots, voters, kind, message):
+    calls, resolve = [], core._resolve_ballots
+
+    def counted(bit_of, ballots):
+        calls.append(ballots)
+        return resolve(bit_of, ballots)
+
+    monkeypatch.setattr(core, "_resolve_ballots", counted)
+    text = json.dumps({"voters": voters, "subsets": AB, "ballots": ballots})
+    if kind is None:
+        assert sv.parse_instance(text).num_voters == voters
+    else:
+        with pytest.raises(sv.ScvError) as excinfo:
+            sv.parse_instance(text)
+        assert type(excinfo.value) is kind
+        assert str(excinfo.value) == message
+    assert len(calls) == 1
 
 
 def test_a_name_repeated_within_a_ballot_counts_once():
