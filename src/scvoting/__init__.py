@@ -72,6 +72,7 @@ from .greedy import (
 )
 from .pav import (
     IW_PAV,
+    MaximizeStats,
     SW_PAV,
     VARIANTS,
     harmonic,

@@ -16,11 +16,15 @@ lcm(1..c_max), where c_max is the largest count any voter can reach in the
 scope being scored: then every L·H(j) and every step L/j is an integer.
 One :class:`~fractions.Fraction` is built per result, at the API boundary.
 
-Maximization is exhaustive (these optima are NP-hard in general) over the
-feasible committees and guarded by a count budget.  One depth-first search
-serves both variants: it picks one candidate per level, keeps each level's
-voters as exact-count classes on the approver masks, so backing out of a
-pick undoes nothing.  A variant is its list of scopes, searched one by
+Maximization is exact (these optima are NP-hard in general) over the
+feasible committees and guarded by a count budget.  One depth-first branch
+and bound serves both variants: it picks one candidate per level, keeps
+each level's voters as exact-count classes on the approver masks, so
+backing out of a pick undoes nothing, and cuts a branch when the top
+marginal gains of its open pools cannot reach the best score found.  The
+scores are monotone submodular (a voter's step L/j only falls as j rises),
+so those gains bound every completion.  A branch with a single completion
+is scored in one pass.  A variant is its list of scopes, searched one by
 one: one scope of all subsets for ``sw-pav``, one per subset for
 ``iw-pav``.  Ties always resolve to the committee whose sorted member-id
 tuple is lexicographically least.
@@ -28,11 +32,13 @@ tuple is lexicographically least.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
+from heapq import heapify, heapreplace
 from math import comb, lcm, prod
 from operator import or_
-from typing import Iterable, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .core import Committee, ScvInstance
 from .errors import BudgetExceeded, NotMember
@@ -42,6 +48,26 @@ IW_PAV = "iw-pav"
 VARIANTS = (SW_PAV, IW_PAV)
 
 DEFAULT_MAXIMIZE_BUDGET = 10_000_000
+
+
+@dataclass
+class MaximizeStats:
+    """Work done by :func:`maximize`; each call adds to the counts.
+
+    ``nodes`` counts the search nodes of every scope searched: each root,
+    and each pick the search considers, whether it is entered, scored as a
+    leaf or a forced completion, or cut by the bound.  ``leaves`` counts the
+    complete committees whose score is computed exactly, ``forced`` those
+    among them scored in one pass as the single completion of a node with
+    no spare candidate.  ``pruned_bound`` counts the children and leaves
+    cut because their bound on the best completion is below the best score
+    found.
+    """
+
+    nodes: int = 0
+    leaves: int = 0
+    pruned_bound: int = 0
+    forced: int = 0
 
 
 def _scaled_harmonics(counts: Iterable[int]) -> tuple[int, dict[int, int]]:
@@ -144,6 +170,7 @@ def maximize(
     inst: ScvInstance,
     variant: str,
     budget: int = DEFAULT_MAXIMIZE_BUDGET,
+    stats: Optional[MaximizeStats] = None,
 ) -> tuple[Committee, Fraction]:
     """Exact optimum of the chosen variant over all feasible committees.
 
@@ -151,7 +178,9 @@ def maximize(
     subset, ``iw-pav`` one per subset.  Raises :class:`BudgetExceeded`
     (reporting the committee count that would be enumerated) instead of
     starting a search larger than ``budget``.  Among co-optimal committees
-    the lexicographically least sorted member tuple is returned.
+    the lexicographically least sorted member tuple is returned.  The counts
+    of the search are added to ``stats`` when one is given; the result is
+    the same either way.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
@@ -168,7 +197,13 @@ def maximize(
     scale = lcm(*range(1, c_max + 1))
     steps = [scale // j for j in range(1, c_max + 1)]
     parts = [_search(masks, inst.num_voters, scope, steps) for scope in scopes]
-    score, members = sum(s for s, _ in parts), [c for _, part in parts for c in part]
+    if stats is not None:
+        for _, _, (nodes, leaves, pruned, forced) in parts:
+            stats.nodes += nodes
+            stats.leaves += leaves
+            stats.pruned_bound += pruned
+            stats.forced += forced
+    score, members = sum(s for s, _, _ in parts), [c for _, part, _ in parts for c in part]
     return Committee(frozenset(members)), Fraction(score, scale)
 
 
@@ -177,10 +212,11 @@ def _search(
     num_voters: int,
     subsets: Sequence[tuple[Sequence[int], int]],
     steps: Sequence[int],
-) -> tuple[int, tuple[int, ...]]:
+) -> tuple[int, tuple[int, ...], tuple[int, int, int, int]]:
     """Best scaled score over every choice of ``quota`` members from each
     ``(sorted pool, quota)`` pair, with the lexicographically least sorted
-    member tuple among ties.
+    member tuple among ties, and the search's counts in the order of
+    :class:`MaximizeStats`.
 
     ``steps[j]`` is L // (j + 1), a voter's scaled gain when its count rises
     from j to j + 1, up to the largest count any voter can reach here.  Each
@@ -192,36 +228,113 @@ def _search(
     it into ``v & ~a``, staying at j, and ``v & a``, which joins the
     stayers at j + 1.  The loop is iterative so that thousands of seats do
     not exhaust the interpreter stack.
+
+    The search is a branch and bound.  The steps only fall, so a voter's
+    gain from a candidate only shrinks as members join, and the sum of the
+    candidates' gains at a node bounds every completion below it.  A node
+    with 2 or more spare candidates (open candidates beyond the seats still
+    to fill, over every open pool) computes each open candidate's gain once.
+    A child is cut when the node's score plus its gain, the largest gains
+    of the seats left after it in its pool and of every later pool is below
+    the best score found; a leaf is cut by the same test on the gains of the
+    nearest node above it that has them.  The tests are strict, so every
+    co-optimal committee is reached and the least one wins.  A child with
+    no spare candidate has one completion, which is scored in one pass: the
+    members it adds are split into count classes, and each class of the
+    node rises by their count at once.
     """
-    levels = [(pool, s == 0, len(pool) - quota + s + 1)
-              for pool, quota in subsets for s in range(quota)]
-    depth = len(levels)
+    order = [c for pool, _ in subsets for c in pool]  # every level picks a position here
+    levels, later_pools, later, stop = [], (), 0, len(order)
+    for pool, quota in reversed(subsets):
+        start = stop - len(pool)
+        # per level: where its pool's first pick starts, the end of its picks,
+        # the seats left, the spare of the later pools, its pool's stop and
+        # the (start, stop, quota) of the later pools
+        levels[:0] = [(start - 1 if s == 0 else None, stop - quota + s + 1, quota - s,
+                       later, stop, later_pools) for s in range(quota)]
+        later_pools = ((start, stop, quota),) + later_pools
+        later += len(pool) - quota
+        stop = start
+    depth, top = len(levels), len(steps)
     stack = [[(0, (1 << num_voters) - 1)]] * depth  # the root: everyone at count 0
     picks, partial = [-1] * depth, [0] * depth
+    gains, caps, floors = [None] * depth, [None] * depth, [0] * depth
     best, best_members = -1, ()
-    d = 0
+    nodes, leaves, pruned, forced = 1, 0, 0, 0
+    d, fresh = 0, True
     while d >= 0:
-        pool, _, end = levels[d]
+        _, end, need, later, stop, later_pools = levels[d]
         p = picks[d] + 1
+        if fresh:  # first visit: the gains of a node with 2 or more spare candidates
+            fresh = False
+            caps[d], gains[d] = None, gains[d - 1] if d else None
+            if d + 1 < depth and end - p + later > 2:
+                approvers = [masks[c] for c in order[p:]]
+                gain = [0] * len(approvers)
+                for j, voters in stack[d]:
+                    if j < top:  # a voter at the top count approves no open candidate
+                        step = steps[j]
+                        gain = [g + step * (voters & a).bit_count() for g, a in zip(gain, approvers)]
+                gains[d] = gain = [0] * p + gain
+                floors[d] = partial[d] + sum(sum(sorted(gain[lo:hi], reverse=True)[:quota])
+                                             for lo, hi, quota in later_pools)
+                cap = gain
+                if need > 1:  # add the top need - 1 gains after each child
+                    cap, heap = gain[:end], gain[end:stop]
+                    rest = sum(heap)
+                    heapify(heap)
+                    for i in range(end - 1, p - 1, -1):
+                        cap[i] += rest
+                        if gain[i] > heap[0]:
+                            rest += gain[i] - heapreplace(heap, gain[i])
+                caps[d] = cap
         if d + 1 == depth:  # the leaves left on this branch only sum their gains
+            bound = gains[d]
+            nodes += end - p
             for p in range(p, end):
-                approved = masks[pool[p]]
+                if bound and partial[d] + bound[p] < best:
+                    pruned += 1
+                    continue
+                approved = masks[order[p]]
                 score = partial[d]
                 for j, voters in stack[d]:
                     hit = voters & approved
                     if hit:
                         score += steps[j] * hit.bit_count()
+                leaves += 1
                 if score >= best:
                     picks[d] = p
-                    members = tuple(sorted(lv[0][q] for lv, q in zip(levels, picks)))
+                    members = tuple(sorted(order[q] for q in picks))
                     if score > best or members < best_members:
                         best, best_members = score, members
-            p = end
+            d -= 1
+            continue
+        cap, floor = caps[d], floors[d]
+        while p < end:
+            nodes += 1
+            if cap and floor + cap[p] < best:
+                pruned += 1
+            elif not later and (need == 1 or p + 1 == end):  # a single completion
+                leaves, forced = leaves + 1, forced + 1
+                added = order[p:p + need] + order[stop:]
+                score = partial[d]
+                for c, risers in _count_classes(masks, added):
+                    for j, voters in stack[d]:
+                        hit = (voters & risers).bit_count()
+                        if hit:
+                            score += sum(steps[j:j + c]) * hit
+                if score >= best:
+                    members = tuple(sorted([order[q] for q in picks[:d]] + added))
+                    if score > best or members < best_members:
+                        best, best_members = score, members
+            else:
+                break
+            p += 1
         if p >= end:
             d -= 1
             continue
         picks[d] = p
-        approved = masks[pool[p]]
+        approved = masks[order[p]]
         score = partial[d]
         split, up = [], 0  # up: the previous class's hits, now at count `rise`
         for j, voters in stack[d]:
@@ -243,5 +356,6 @@ def _search(
         d += 1
         stack[d] = split
         partial[d] = score
-        picks[d] = -1 if levels[d][1] else p
-    return best, best_members
+        picks[d] = p if levels[d][0] is None else levels[d][0]
+        fresh = True
+    return best, best_members, (nodes, leaves, pruned, forced)

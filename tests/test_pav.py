@@ -6,7 +6,7 @@ import tracemalloc
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import lcm
+from math import comb, lcm, prod
 
 import pytest
 from hypothesis import example, given, settings
@@ -112,10 +112,18 @@ def test_maximize_fills_a_committee_with_thousands_of_seats():
     b = [f"b{i}" for i in range(801)]
     inst = sv.ScvInstance.from_names(3, [("A", a, 1200), ("B", b, 800)], [a + b, b, ["b800"]])
     want = frozenset(range(2001)) - {inst.candidate_id("b799")}
-    w, score = sv.maximize(inst, sv.SW_PAV)
+    stats = sv.MaximizeStats()
+    w, score = sv.maximize(inst, sv.SW_PAV, stats=stats)
     assert (w.members, score) == (want, exact_harmonic(2000) + exact_harmonic(800) + 1)
-    w, score = sv.maximize(inst, sv.IW_PAV)
+    # the root, one node per seat of A (each has a single option), and two
+    # children per B level: the first is entered, the second has no spare
+    # candidate and is scored in one pass, so no chain is walked seat by seat
+    assert stats == sv.MaximizeStats(nodes=2801, leaves=801, forced=799)
+    stats = sv.MaximizeStats()
+    w, score = sv.maximize(inst, sv.IW_PAV, stats=stats)
     assert (w.members, score) == (want, exact_harmonic(1200) + exact_harmonic(800) * 2 + 1)
+    # A alone has one committee, scored in one pass from its root
+    assert stats == sv.MaximizeStats(nodes=1603, leaves=802, forced=800)
 
 
 def test_single_voter_span_vs_per_subset_contribution():
@@ -387,6 +395,103 @@ def test_maximize_matches_the_oracle_across_mask_word_boundaries(inst):
         got_w, got_score = sv.maximize(inst, variant)
         want_w, want_score = lexmin_argmax(inst, variant)
         assert (got_w.sorted_members, got_score) == (want_w.sorted_members, want_score), variant
+
+
+@st.composite
+def bound_heavy_instances(draw):
+    """Up to 3 subsets with interleaved ids, each of one of four shapes: one
+    spare candidate (quota one below the size), full (quota equal to the
+    size), quota 1, or any quota.  Up to 12 voters, whose ballots copy 1 to
+    3 patterns, so gains tie often.  The shapes make the search's bound cut
+    children and leaves and score completions with no spare candidate in one
+    pass."""
+    shapes = draw(st.lists(st.sampled_from(["one-spare", "full", "single", "free"]),
+                           min_size=1, max_size=3))
+    sizes = [draw(st.integers(2 if shape == "one-spare" else 1, 5)) for shape in shapes]
+    total = sum(sizes)
+    ids = draw(st.permutations(range(total)))
+    subsets, lo = [], 0
+    for j, (shape, size) in enumerate(zip(shapes, sizes)):
+        quota = {"one-spare": size - 1, "full": size, "single": 1}.get(shape)
+        if quota is None:
+            quota = draw(st.integers(1, size))
+        subsets.append(sv.CandidateSubset(f"S{j}", ids[lo:lo + size], quota))
+        lo += size
+    kinds = draw(st.lists(st.frozensets(st.integers(0, total - 1)), min_size=1, max_size=3))
+    ballots = draw(st.lists(st.sampled_from(kinds), min_size=1, max_size=12))
+    names = [f"c{i}" for i in range(total)]
+    return sv.validate_instance(sv.ScvInstance(len(ballots), names, subsets, ballots))
+
+
+def searched_committees(inst, variant):
+    """The committees of every scope the variant searches: the feasible
+    committees for sw-pav, the sum of each subset's choices for iw-pav."""
+    choices = [comb(sub.size, sub.quota) for sub in inst.subsets]
+    return prod(choices) if variant == sv.SW_PAV else sum(choices)
+
+
+# one spare candidate in S0 and a full S1: the first pick of S0 is entered,
+# its sibling's completion is scored in one pass
+ONE_SPARE_THEN_FULL = sv.validate_instance(
+    sv.ScvInstance(
+        3,
+        ["c0", "c1", "c2", "c3", "c4"],
+        [sv.CandidateSubset("S0", (0, 2, 4), 2), sv.CandidateSubset("S1", (1, 3), 2)],
+        [frozenset({4, 1}), frozenset({4}), frozenset({0, 3})],
+    )
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(bound_heavy_instances())
+@example(ONE_SPARE_THEN_FULL)
+def test_maximize_matches_enumeration_where_the_bound_and_forced_completions_act(inst):
+    for variant in sv.VARIANTS:
+        stats = sv.MaximizeStats()
+        got_w, got_score = sv.maximize(inst, variant, stats=stats)
+        want_w, want_score = lexmin_argmax(inst, variant)
+        assert (got_w.sorted_members, got_score) == (want_w.sorted_members, want_score), variant
+        assert stats.forced <= stats.leaves <= searched_committees(inst, variant)
+        assert stats.leaves + stats.pruned_bound < stats.nodes
+
+
+def test_the_bound_and_forced_completions_act_on_random_draws():
+    # the rules of the hypothesis test above fire on plain random draws too
+    rng = random.Random(28)
+    stats = sv.MaximizeStats()
+    for _ in range(60):
+        inst = random_instance(rng, max_voters=10, max_candidates=10)
+        for variant in sv.VARIANTS:
+            assert sv.maximize(inst, variant, stats=stats) == sv.maximize(inst, variant)
+    assert stats.pruned_bound > 0
+    assert stats.forced > 0
+
+
+def test_all_approving_voters_cut_nothing_and_get_the_least_committee():
+    # every committee ties, and a strict bound never falls below a tie
+    names = [f"c{i}" for i in range(12)]
+    inst = sv.ScvInstance.from_names(
+        5,
+        [("A", names[:5], 2), ("B", names[5:8], 2), ("C", names[8:], 3)],
+        [names] * 5,
+    )
+    for variant in sv.VARIANTS:
+        stats = sv.MaximizeStats()
+        w, _ = sv.maximize(inst, variant, stats=stats)
+        assert w.sorted_members == (0, 1, 5, 6, 8, 9, 10)
+        assert stats.pruned_bound == 0
+        assert stats.leaves == searched_committees(inst, variant)
+
+
+def test_stats_of_a_span_wide_search_over_48400_committees():
+    inst = sv.generate_instance(sv.UniformModel(200, (12, 12), (3, 3), 0.3), seed=1)
+    assert sv.count_feasible_committees(inst) == 48_400
+    stats = sv.MaximizeStats()
+    w, score = sv.maximize(inst, sv.SW_PAV, stats=stats)
+    assert (w.sorted_members, score) == ((2, 3, 9, 16, 19, 23), Fraction(8303, 30))
+    assert stats == sv.MaximizeStats(nodes=13394, leaves=810, pruned_bound=10146, forced=323)
+    assert sv.maximize(inst, sv.SW_PAV, stats=stats) == (w, score)  # a second call adds
+    assert stats == sv.MaximizeStats(nodes=26788, leaves=1620, pruned_bound=20292, forced=646)
 
 
 def interleaved_instance(rng):
