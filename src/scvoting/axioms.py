@@ -27,8 +27,10 @@ voters are everyone outside the union of the members' approver masks, and
 :func:`~scvoting.core.best_supported` returns the candidate most of them
 approve, only when those supporters reach the size threshold.  The weak-sw-jr
 search intersects the same masks.  A pass is vacuous when the same violation
-finder finds nothing with no voter represented.  The oracle keeps to plain
-frozensets, so it shares none of this.
+finder finds nothing with no voter represented; that depends on the instance
+alone, so each finder's vacuity pass runs once per instance (jr shares
+sw-jr's) and is kept on the instance.  The oracle keeps to plain frozensets,
+so it shares none of this.
 """
 
 from __future__ import annotations
@@ -41,7 +43,6 @@ from .core import (
     Committee,
     ScvInstance,
     best_supported,
-    mask_voters,
     validate_instance,
 )
 from .errors import TooLarge
@@ -115,13 +116,18 @@ def _unrepresented(inst: ScvInstance, won) -> int:
 def _verdict(axiom: str, find, inst: ScvInstance, committee) -> AxiomVerdict:
     """Verdict from ``find(inst, won)``: (supporter mask, evidence, subset or
     None) for a violation, else None.  A pass is vacuous when ``find`` finds
-    nothing with no voter represented."""
+    nothing with no voter represented.  That depends on the instance alone,
+    so it is found once per instance and finder and kept in the instance's
+    ``__dict__``, as its cached properties are: it lives as long as the
+    instance does."""
     found = find(inst, Committee.of(inst, committee).members)
     if found is None:
-        vacuous = find(inst, frozenset()) is None
-        return AxiomVerdict(axiom, True, note=VACUOUS_NOTE if vacuous else "")
+        vacuous = inst.__dict__.setdefault("_vacuous", {})
+        if find not in vacuous:
+            vacuous[find] = find(inst, frozenset()) is None
+        return AxiomVerdict(axiom, True, note=VACUOUS_NOTE if vacuous[find] else "")
     supporters, candidates, subset = found
-    return AxiomVerdict(axiom, False, Violation(mask_voters(supporters), candidates, subset))
+    return AxiomVerdict(axiom, False, Violation(inst.voters_of(supporters), candidates, subset))
 
 
 def _sw_violation(inst: ScvInstance, won: frozenset[int]) -> Optional[tuple]:

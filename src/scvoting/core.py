@@ -11,6 +11,7 @@ from __future__ import annotations
 import json
 import math
 import random
+import re
 import struct
 import sys
 from array import array
@@ -135,6 +136,16 @@ class ScvInstance:
         ballots = _decode_rows(self.ballot_rows)
         object.__setattr__(self, "ballots", ballots)
         return ballots
+
+    @cached_property
+    def _voter_ids(self) -> tuple[int, ...]:
+        return tuple(range(self.num_voters))
+
+    def voters_of(self, mask: int) -> list[int]:
+        """Ids of the voters whose bits are set in ``mask``, ascending, as
+        :func:`mask_voters` gives them, picked from one tuple of ids kept on
+        the instance instead of an int made per bit."""
+        return list(compress(self._voter_ids, _selectors(mask)))
 
     @cached_property
     def _id_by_name(self) -> dict[str, int]:
@@ -302,6 +313,21 @@ def _validated(inst: ScvInstance, ballots) -> ScvInstance:
         wrong.append(_wrong_type(sub.quota, int, where, "quota"))
     problems += [(InvalidInstance, message) for message in wrong if message]
 
+    # a high surrogate then a low one is written as two escapes, which JSON
+    # reads back as one character; an ASCII name has neither
+    subset_names = [sub.name for sub in inst.subsets]
+    try:
+        plain = "".join(inst.candidate_names).isascii() and "".join(subset_names).isascii()
+    except TypeError:  # a name of another type, reported above
+        plain = False
+    if not plain:
+        problems += [
+            (InvalidInstance, f"{kind} name {name!r} holds a surrogate pair, "
+                              "which JSON reads back as one character")
+            for kind, names in (("candidate", inst.candidate_names), ("subset", subset_names))
+            for name in names if isinstance(name, str) and re.search(_SURROGATE_PAIR, name)
+        ]
+
     # a count or quota that is no int is not compared to anything
     counted = _is_int(inst.num_voters)
     if counted and inst.num_voters < 1:
@@ -313,7 +339,7 @@ def _validated(inst: ScvInstance, ballots) -> ScvInstance:
         problems.append((InvalidInstance, f"expected {inst.num_voters} ballots, got {got}"))
     if ballots is not None and _repeats(inst.candidate_names):
         problems.append((InvalidInstance, "candidate names are not unique"))
-    if _repeats([s.name for s in inst.subsets]):
+    if _repeats(subset_names):
         problems.append((InvalidInstance, "subset names are not unique"))
 
     if ballots is not None:  # see _from_rows for the instances skipped
@@ -437,7 +463,8 @@ def _selectors(mask: int) -> bytes:
 
 
 def mask_voters(mask: int) -> list[int]:
-    """Ids of the voters whose bits are set in ``mask``, ascending."""
+    """Ids of the voters whose bits are set in ``mask``, ascending.  With an
+    instance at hand, :meth:`ScvInstance.voters_of` decodes faster."""
     return list(compress(count(), _selectors(mask)))
 
 
@@ -452,6 +479,18 @@ def _swap_mask(j: int) -> int:
 _SWAPS = tuple((63 * j, _swap_mask(j)) for j in (32, 16, 8, 4, 2, 1))
 
 
+def _tiled(mask: int, blocks: int) -> int:
+    """``blocks`` copies of a one-block swap mask, copy b at bit 4096*b:
+    doubled while the copies fit, then topped up with the first ones."""
+    copies = 1
+    while 2 * copies <= blocks:
+        mask |= mask << 4096 * copies
+        copies *= 2
+    if copies < blocks:
+        mask |= (mask & ((1 << 4096 * (blocks - copies)) - 1)) << 4096 * copies
+    return mask
+
+
 def _transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
     """The ``width`` columns of the bit matrix whose row i is ``rows[i]``:
     bit i of column c is bit c of ``rows[i]``.
@@ -460,17 +499,21 @@ def _transpose(rows: Sequence[int], width: int) -> tuple[int, ...]:
     word column are packed 64 rows to a block into one int, so bit 64*i + c
     holds bit c of row i.  Six delta swaps transpose every 64x64 block at
     once; word c of each block then holds 64 bits of column c, and one
-    strided slice of the words collects them.  The words are only sliced,
-    or, with one block, unpacked at once as little-endian words, so the
-    host's byte order does not matter.
+    strided slice of the words collects them.  Rows of one word are packed
+    by one ``array`` call in the host's byte order, swapped to little-endian
+    on a big-endian host; wider rows are written little-endian one by one.
+    The words are only sliced, or, with one block, unpacked at once as
+    little-endian words, so nothing else depends on the host's byte order.
     """
     size = -(-width // 64)  # words per row
     blocks = -(-len(rows) // 64)
-    words = array("Q", b"".join(map(int.to_bytes, rows, repeat(8 * size), repeat("little"))))
-    swaps = _SWAPS if blocks == 1 else [
-        (shift, int.from_bytes(mask.to_bytes(512, "little") * blocks, "little"))
-        for shift, mask in _SWAPS
-    ]
+    if size == 1:
+        words = array("Q", rows)
+        if sys.byteorder == "big":
+            words.byteswap()
+    else:
+        words = array("Q", b"".join(map(int.to_bytes, rows, repeat(8 * size), repeat("little"))))
+    swaps = _SWAPS if blocks == 1 else [(shift, _tiled(mask, blocks)) for shift, mask in _SWAPS]
     columns = []
     for w in range(size):
         x = int.from_bytes(words[w::size], "little")
@@ -507,6 +550,10 @@ def best_supported(
 #   { "voters": n,
 #     "subsets": [ { "name": str, "candidates": [str, ...], "quota": int }, ... ],
 #     "ballots": [ [candidate-name, ...], ... ] }
+
+
+# compiled on first use, by a name that is not ASCII
+_SURROGATE_PAIR = r"[\ud800-\udbff][\udc00-\udfff]"
 
 
 def _is_int(value) -> bool:

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
 
-from .core import Committee, ScvInstance, best_supported, mask_voters
+from .core import Committee, ScvInstance, best_supported
 from .errors import EmptySequence
 
 PHASE_INTRA = "intra"
@@ -86,7 +86,7 @@ def solve_greedy(inst: ScvInstance) -> tuple[Committee, GreedyTrace]:
         won.add(candidate)
         need[subset_of[candidate]] -= 1
         steps.append(GreedyStep(phase, candidate, subset_of[candidate],
-                                supporters.bit_count(), mask_voters(supporters)))
+                                supporters.bit_count(), inst.voters_of(supporters)))
         return masks[candidate]
 
     # a round's voters start as those that won members of its subsets represent

@@ -437,6 +437,65 @@ def test_vacuous_pass_is_flagged_in_the_note_only():
     assert verdict.note == ""
 
 
+def _count_vacuity_passes(monkeypatch):
+    """Count, per violation finder, its calls with no voter represented."""
+    calls = dict.fromkeys(("_sw_violation", "_iw_violation", "_weak_violation"), 0)
+    for name in calls:
+        def spy(inst, won, find=getattr(axioms, name), name=name):
+            calls[name] += not won
+            return find(inst, won)
+        monkeypatch.setattr(axioms, name, spy)
+    return calls
+
+
+def test_each_vacuity_pass_runs_once_per_instance(monkeypatch):
+    # every voter approves every candidate, so every committee passes all
+    # four axioms and each pass asks whether it was vacuous (it was not)
+    args = (4, [("C1", ["a", "b"], 1), ("C2", ["c", "d"], 1)], [["a", "b", "c", "d"]] * 4)
+    calls = _count_vacuity_passes(monkeypatch)
+    inst = sv.ScvInstance.from_names(*args)
+    for members in ([0, 2], [1, 3]):
+        for axiom in sv.ALL_AXIOMS:
+            verdict = sv.check_axiom(inst, members, axiom)
+            assert verdict.satisfied and verdict.note == ""
+    # jr runs sw-jr's finder, so it shares sw-jr's pass
+    assert calls == {"_sw_violation": 1, "_iw_violation": 1, "_weak_violation": 1}
+
+    # the memo lives on the instance: an equal instance pays its own passes
+    twin = sv.ScvInstance.from_names(*args)
+    assert twin == inst
+    for axiom in sv.ALL_AXIOMS:
+        sv.check_axiom(twin, [0, 2], axiom)
+    assert calls == {"_sw_violation": 2, "_iw_violation": 2, "_weak_violation": 2}
+
+
+def test_a_vacuous_pass_is_remembered_as_vacuous(monkeypatch):
+    calls = _count_vacuity_passes(monkeypatch)
+    inst = sv.ScvInstance.from_names(2, [("C1", ["x", "y"], 1), ("C2", ["z"], 1)], [[], []])
+    for members in ([0, 2], [1, 2]):
+        for axiom in sv.ALL_AXIOMS:
+            assert sv.check_axiom(inst, members, axiom).note == axioms.VACUOUS_NOTE
+    assert calls == {"_sw_violation": 1, "_iw_violation": 1, "_weak_violation": 1}
+
+
+def test_verdicts_on_a_checked_instance_equal_those_on_a_fresh_parse():
+    rng = random.Random(24)
+    notes = set()
+    for _ in range(300):
+        inst = random_instance(rng)
+        text = sv.serialize_instance(inst)
+        assert sv.parse_instance(text) == inst  # same ids, so same witnesses
+        committees = [sv.solve_greedy(inst)[0]] + [random_committee(rng, inst) for _ in range(3)]
+        for committee in committees:
+            for axiom in sv.ALL_AXIOMS:
+                seen = sv.check_axiom(inst, committee, axiom)
+                fresh = sv.check_axiom(sv.parse_instance(text), committee, axiom)
+                assert (seen.satisfied, seen.note, seen.witness) == (
+                    fresh.satisfied, fresh.note, fresh.witness)
+                notes.add(seen.note if seen.satisfied else None)
+    assert notes == {"", axioms.VACUOUS_NOTE, None}  # every kind of verdict was drawn
+
+
 def test_verdict_serialization_uses_names():
     inst = fixtures.axiom_split_instance()
     w = inst.committee([inst.candidate_id(x) for x in ("c1", "b", "c")])

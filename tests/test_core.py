@@ -146,10 +146,17 @@ def _programmatic(names, subsets):
         (_programmatic(("x", "y"), [(["C1"], (0,), 1), (["C1"], (1,), 1)]), sv.InvalidInstance,
          ["subset entry 0 field 'name' has the wrong type",
           "subset entry 1 field 'name' has the wrong type"]),
+        (_programmatic(("x", "y\ud800\udc00"), [("C1", (0, 1), 1)]), sv.InvalidInstance,
+         ["candidate name 'y\\ud800\\udc00' holds a surrogate pair, "
+          "which JSON reads back as one character"]),
+        (_programmatic(("x",), [("\ud800\udc00C1", (0,), 1)]), sv.InvalidInstance,
+         ["subset name '\\ud800\\udc00C1' holds a surrogate pair, "
+          "which JSON reads back as one character"]),
     ],
     ids=["no-subsets", "duplicate-candidate-names", "duplicate-subset-names", "out-of-range-id",
          "too-few-ballots", "float-member-id", "string-member-id", "float-ballot-id",
-         "string-ballot-id", "list-candidate-name", "list-subset-name"],
+         "string-ballot-id", "list-candidate-name", "list-subset-name",
+         "surrogate-pair-candidate-name", "surrogate-pair-subset-name"],
 )
 def test_structural_violations_name_their_class_and_cause(inst, kind, problems):
     with pytest.raises(sv.InvalidInstance) as excinfo:
@@ -313,6 +320,17 @@ def test_approver_masks_mirror_the_ballots():
     assert mask_voters((1 << 1024) | (1 << 64) | 1) == [0, 64, 1024]
 
 
+@pytest.mark.parametrize("voters", [1, 64, 65, 2100])
+def test_an_instance_decodes_its_masks_as_mask_voters_does(voters):
+    inst = sv.generate_instance(sv.UniformModel(voters, (2,), (1,), 0.5), voters)
+    bits = {b for b in (0, 1, 63, 64, 65, voters - 1) if b < voters}
+    rng = random.Random(voters)
+    masks = [0, (1 << voters) - 1, sum(1 << b for b in bits), *inst.approver_masks,
+             *(1 << b for b in bits), *(rng.getrandbits(voters) for _ in range(20))]
+    for mask in masks:
+        assert inst.voters_of(mask) == mask_voters(mask)
+
+
 def _naive(names, ballots):
     """Ids, rows and approver masks of name ballots, one name at a time."""
     id_of = {name: cid for cid, name in enumerate(names)}
@@ -381,6 +399,13 @@ def test_a_one_block_transpose_reads_the_columns_of_two_blocks(voters, candidate
     assert one == tuple(
         sum((row >> c & 1) << i for i, row in enumerate(rows)) for c in range(candidates)
     )
+
+
+def test_doubled_swap_masks_equal_repeated_ones():
+    for shift, mask in core._SWAPS:
+        for blocks in range(1, 71):
+            repeated = int.from_bytes(mask.to_bytes(512, "little") * blocks, "little")
+            assert core._tiled(mask, blocks) == repeated, (shift, blocks)
 
 
 def test_the_mask_paths_never_decode_the_ballots(monkeypatch):
@@ -677,11 +702,21 @@ def test_a_name_repeated_within_a_ballot_counts_once():
     )
 
 
+def _pairs_surrogates(name: str) -> bool:
+    """Whether a high surrogate is followed by a low one, two code points
+    that JSON reads back as one character, so no valid name holds them."""
+    return any("\ud800" <= a <= "\udbff" and "\udc00" <= b <= "\udfff"
+               for a, b in zip(name, name[1:]))
+
+
 # characters whose JSON escapes are awkward: quotes, backslashes, control
 # characters, non-ASCII ("\u00e9" sorts before "z", "é" after it), astral
-# characters and lone surrogates; then any code point at all
-tricky = st.sampled_from(['"', "\\", "\x00", "\n", "\x7f", "a", "z", "é", "\U0001f600", "\ud800"])
-names = st.text(tricky | st.characters(exclude_categories=()), min_size=1, max_size=4)
+# characters and lone surrogates; then any code point at all, in the names
+# of valid instances only
+tricky = st.sampled_from(['"', "\\", "\x00", "\n", "\x7f", "a", "z", "é", "\U0001f600", "\ud800",
+                          "\udc00"])
+names = st.text(tricky | st.characters(exclude_categories=()), min_size=1, max_size=4).filter(
+    lambda name: not _pairs_surrogates(name))
 
 
 @st.composite
@@ -731,6 +766,22 @@ def test_parse_of_serialize_is_identity(inst):
     text = sv.serialize_instance(inst)
     assert text == core.to_json_text(sv.instance_to_document(inst))  # the encoder's bytes
     assert sv.parse_instance(text) == inst
+
+
+def test_a_name_that_json_would_join_into_one_character_is_invalid():
+    pair = "\ud800" + "\udc00"
+    for subsets in ([("C1", ["a" + pair], 1)], [(pair, ["a"], 1)]):
+        with pytest.raises(sv.InvalidInstance) as excinfo:
+            sv.ScvInstance.from_names(1, subsets, [[]])
+        assert type(excinfo.value) is sv.InvalidInstance
+        assert "surrogate pair" in excinfo.value.problems[0]
+    # a raw high surrogate before an escaped low one parses into a pair
+    with pytest.raises(sv.SemanticError, match="surrogate pair"):
+        sv.parse_instance('{"voters": 1, "subsets": [{"name": "C1", "candidates": '
+                          '["\ud800\\udc00"], "quota": 1}], "ballots": [[]]}')
+    # apart, or low before high, they come back as they were
+    inst = sv.ScvInstance.from_names(1, [("\udc00\ud800", ["\ud800", "\udc00"], 1)], [["\udc00"]])
+    assert sv.parse_instance(sv.serialize_instance(inst)) == inst
 
 
 # values of the other JSON types, and of none, for a field of each type
