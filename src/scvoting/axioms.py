@@ -42,10 +42,11 @@ from .core import (
     CandidateSubset,
     Committee,
     ScvInstance,
+    _ballot_problems,
     best_supported,
     validate_instance,
 )
-from .errors import TooLarge
+from .errors import BadBallot, TooLarge
 
 JR = "jr"
 SW_JR = "sw-jr"
@@ -254,11 +255,10 @@ def check_jr(
                 f"num_candidates = {num_candidates} but the instance has {inst.num_candidates}"
             )
     else:
-        ballots = [frozenset(b) for b in ballots]
-        committee = frozenset(committee)
+        ballots, committee = [list(b) for b in ballots], list(committee)
         if num_candidates is None:
-            referenced = frozenset().union(committee, *ballots) if ballots else committee
-            num_candidates = max((c for c in referenced if isinstance(c, int)), default=-1) + 1
+            num_candidates = max((c for b in (committee, *ballots) for c in b
+                                  if isinstance(c, int)), default=-1) + 1
         inst = jr_embedding(ballots, k, num_candidates)
     verdict = check_sw_jr(inst, committee)
     return AxiomVerdict(JR, verdict.satisfied, verdict.witness, verdict.note)
@@ -268,7 +268,11 @@ def jr_embedding(
     ballots: Iterable[Iterable[int]], k: int, num_candidates: int
 ) -> ScvInstance:
     """One-subset instance over candidates ``0 .. num_candidates-1``."""
-    ballots = tuple(frozenset(b) for b in ballots)
+    ballots = [list(b) for b in ballots]
+    try:
+        ballots = tuple(map(frozenset, ballots))
+    except TypeError:  # an unhashable entry is no id: name it as validation does
+        raise BadBallot(_ballot_problems(ballots, num_candidates)) from None
     inst = ScvInstance(
         num_voters=len(ballots),
         candidate_names=tuple(f"c{c}" for c in range(num_candidates)),

@@ -369,13 +369,7 @@ def _validated(inst: ScvInstance, ballots) -> ScvInstance:
 
     # test the distinct approved ids first; walk the ballots only to name them
     if ballots is not None and not all(_is_id(c, m) for c in frozenset().union(*ballots)):
-        for i, b in enumerate(ballots):
-            bad = sorted((c for c in b if not _is_id(c, m)),  # ints, then the rest by repr
-                         key=lambda c: (0, c) if isinstance(c, int) else (1, repr(c)))
-            if bad:
-                problems.append(
-                    (BadBallot, f"ballot {i} references unknown candidate ids {_id_list(bad)}")
-                )
+        problems += [(BadBallot, message) for message in _ballot_problems(ballots, m)]
 
     if problems:
         raise problems[0][0]([message for _, message in problems])
@@ -399,13 +393,14 @@ class Committee:
         raises :class:`InfeasibleCommittee` unless every subset quota is met
         exactly.
         """
-        if isinstance(members, Committee):
-            members = members.members
-        members = frozenset(members)
-        problems = []
-        for c in members:
-            if not _is_id(c, inst.num_candidates):
-                problems.append(f"unknown candidate id {c!r}")
+        if not isinstance(members, frozenset):
+            members = members.members if isinstance(members, Committee) else list(members)
+        try:
+            members = frozenset(members)
+        except TypeError:  # an unhashable member, no candidate id, is named below
+            pass
+        problems = [f"unknown candidate id {c!r}" for c in members
+                    if not _is_id(c, inst.num_candidates)]
         if not problems:
             index = inst.subset_index
             counts = [0] * (inst.num_subsets + 1)  # the spare slot takes ids in no subset
@@ -565,6 +560,14 @@ def _is_id(value, m: int) -> bool:
     """Whether ``value`` is a candidate id of an instance with m candidates
     (a bool counts, as it does in arithmetic)."""
     return isinstance(value, int) and 0 <= value < m
+
+
+def _ballot_problems(ballots: Iterable[Iterable], m: int) -> list[str]:
+    """A message per ballot naming its entries that are no id of m candidates."""
+    bad = [sorted((c for c in b if not _is_id(c, m)),
+                  key=lambda c: (0, c) if isinstance(c, int) else (1, repr(c))) for b in ballots]
+    return [f"ballot {i} references unknown candidate ids {_id_list(ids)}"
+            for i, ids in enumerate(bad) if ids]
 
 
 def _repeats(names: Sequence) -> bool:

@@ -23,11 +23,11 @@ each level's voters as exact-count classes on the approver masks, so
 backing out of a pick undoes nothing, and cuts a branch when the top
 marginal gains of its open pools cannot reach the best score found.  The
 scores are monotone submodular (a voter's step L/j only falls as j rises),
-so those gains bound every completion.  A branch with a single completion
-is scored in one pass.  A variant is its list of scopes, searched one by
-one: one scope of all subsets for ``sw-pav``, one per subset for
-``iw-pav``.  Ties always resolve to the committee whose sorted member-id
-tuple is lexicographically least.
+so those gains bound every completion.  One loop cuts each child of a node,
+leaves included, or scores its single completion in one pass, or enters it.
+A variant is its list of scopes, searched one by one: one scope of all
+subsets for ``sw-pav``, one per subset for ``iw-pav``.  Ties always resolve
+to the committee whose sorted member-id tuple is lexicographically least.
 """
 
 from __future__ import annotations
@@ -58,8 +58,9 @@ class MaximizeStats:
     and each pick the search considers, whether it is entered, scored as a
     leaf or a forced completion, or cut by the bound.  ``leaves`` counts the
     complete committees whose score is computed exactly, ``forced`` those
-    among them scored in one pass as the single completion of a node with
-    no spare candidate.  ``pruned_bound`` counts the children and leaves
+    among them scored in one pass as the single completion, adding two or
+    more members, of a node with no spare candidate: a last-seat child is a
+    leaf, never forced.  ``pruned_bound`` counts the children and leaves
     cut because their bound on the best completion is below the best score
     found.
     """
@@ -236,12 +237,14 @@ def _search(
     to fill, over every open pool) computes each open candidate's gain once.
     A child is cut when the node's score plus its gain, the largest gains
     of the seats left after it in its pool and of every later pool is below
-    the best score found; a leaf is cut by the same test on the gains of the
-    nearest node above it that has them.  The tests are strict, so every
-    co-optimal committee is reached and the least one wins.  A child with
-    no spare candidate has one completion, which is scored in one pass: the
-    members it adds are split into count classes, and each class of the
-    node rises by their count at once.
+    the best score found.  The last level takes as caps the gains of the
+    nearest node above it that has them, and its score as floor, so a leaf
+    is cut by the same test.  The tests are strict, so every co-optimal
+    committee is reached and the least one wins.  One loop walks a node's
+    children: one not cut with no spare candidate has one completion,
+    scored in one pass (a leaf adds its gain class by class; a forced one
+    splits its two or more members into count classes, and each class of
+    the node rises by their count at once), and any other is entered.
     """
     order = [c for pool, _ in subsets for c in pool]  # every level picks a position here
     levels, later_pools, later, stop = [], (), 0, len(order)
@@ -260,15 +263,17 @@ def _search(
     picks, partial = [-1] * depth, [0] * depth
     gains, caps, floors = [None] * depth, [None] * depth, [0] * depth
     best, best_members = -1, ()
-    nodes, leaves, pruned, forced = 1, 0, 0, 0
+    entered, leaves, pruned, forced = 1, 0, 0, 0  # the root counts as entered
     d, fresh = 0, True
     while d >= 0:
         _, end, need, later, stop, later_pools = levels[d]
         p = picks[d] + 1
-        if fresh:  # first visit: the gains of a node with 2 or more spare candidates
+        if fresh:  # first visit: the caps of a last level or of a node with 2+ spare
             fresh = False
             caps[d], gains[d] = None, gains[d - 1] if d else None
-            if d + 1 < depth and end - p + later > 2:
+            if d + 1 == depth:  # a leaf is cut by the nearest gains above it
+                caps[d], floors[d] = gains[d], partial[d]
+            elif end - p + later > 2:
                 approvers = [masks[c] for c in order[p:]]
                 gain = [0] * len(approvers)
                 for j, voters in stack[d]:
@@ -288,43 +293,29 @@ def _search(
                         if gain[i] > heap[0]:
                             rest += gain[i] - heapreplace(heap, gain[i])
                 caps[d] = cap
-        if d + 1 == depth:  # the leaves left on this branch only sum their gains
-            bound = gains[d]
-            nodes += end - p
-            for p in range(p, end):
-                if bound and partial[d] + bound[p] < best:
-                    pruned += 1
-                    continue
-                approved = masks[order[p]]
-                score = partial[d]
-                for j, voters in stack[d]:
-                    hit = voters & approved
-                    if hit:
-                        score += steps[j] * hit.bit_count()
-                leaves += 1
-                if score >= best:
-                    picks[d] = p
-                    members = tuple(sorted(order[q] for q in picks))
-                    if score > best or members < best_members:
-                        best, best_members = score, members
-            d -= 1
-            continue
         cap, floor = caps[d], floors[d]
         while p < end:
-            nodes += 1
             if cap and floor + cap[p] < best:
                 pruned += 1
             elif not later and (need == 1 or p + 1 == end):  # a single completion
-                leaves, forced = leaves + 1, forced + 1
-                added = order[p:p + need] + order[stop:]
+                leaves += 1
                 score = partial[d]
-                for c, risers in _count_classes(masks, added):
+                if d + 1 == depth:  # a leaf adds one member: sum its gain per class
+                    approved = masks[order[p]]
                     for j, voters in stack[d]:
-                        hit = (voters & risers).bit_count()
+                        hit = voters & approved
                         if hit:
-                            score += sum(steps[j:j + c]) * hit
+                            score += steps[j] * hit.bit_count()
+                else:
+                    forced += 1
+                    for c, risers in _count_classes(masks, order[p:p + need] + order[stop:]):
+                        for j, voters in stack[d]:
+                            hit = (voters & risers).bit_count()
+                            if hit:
+                                score += sum(steps[j:j + c]) * hit
                 if score >= best:
-                    members = tuple(sorted([order[q] for q in picks[:d]] + added))
+                    members = tuple(sorted([order[q] for q in picks[:d]]
+                                           + order[p:p + need] + order[stop:]))
                     if score > best or members < best_members:
                         best, best_members = score, members
             else:
@@ -353,9 +344,10 @@ def _search(
                 split.append((j, voters))
         if up:
             split.append((rise, up))
-        d += 1
+        d, entered = d + 1, entered + 1
         stack[d] = split
         partial[d] = score
         picks[d] = p if levels[d][0] is None else levels[d][0]
         fresh = True
-    return best, best_members, (nodes, leaves, pruned, forced)
+    # every child is cut, scored or entered, so those counts sum to the nodes
+    return best, best_members, (entered + leaves + pruned, leaves, pruned, forced)

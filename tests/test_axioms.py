@@ -177,15 +177,21 @@ def test_jr_wrapper_examples():
         ([{-1}], ["ballot 0 references unknown candidate ids [-1]"]),
         ([{"0"}], ["ballot 0 references unknown candidate ids ['0']"]),
         ([{0.5}], ["ballot 0 references unknown candidate ids [0.5]"]),
+        ([[[1]]], ["ballot 0 references unknown candidate ids [[1]]"]),
     ],
-    ids=["negative-id", "string-id", "float-id"],
+    ids=["negative-id", "string-id", "float-id", "unhashable-id"],
 )
 def test_jr_wrapper_names_a_bad_ballot_id(ballots, problems):
-    # only the int ids size the candidate pool, so any other id reaches
-    # validation and is named there
+    # only the int ids size the candidate pool, so any other id is named
+    # as validation names it, an unhashable one included
     with pytest.raises(sv.BadBallot) as excinfo:
         sv.check_jr(ballots, {0}, k=1)
     assert excinfo.value.problems == problems
+
+
+def test_jr_wrapper_names_an_unhashable_committee_member():
+    with pytest.raises(sv.InfeasibleCommittee, match=r"^unknown candidate id \[0\]$"):
+        sv.check_jr([[0], [1]], [[0]], k=1)
 
 
 def test_jr_wrapper_matches_sw_on_flat_instances():

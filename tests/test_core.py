@@ -452,6 +452,8 @@ def test_infeasible_committee_rejected():
         sv.Committee.of(inst, [0.0, 2])
     with pytest.raises(sv.InfeasibleCommittee, match=r"^unknown candidate id 'a1'$"):
         sv.Committee.of(inst, ["a1", 2])
+    with pytest.raises(sv.InfeasibleCommittee, match=r"^unknown candidate id \[1\]$"):
+        sv.Committee.of(inst, [[1], 2])  # unhashable
 
 
 def test_committee_problems_keep_their_messages_and_order():

@@ -1,0 +1,97 @@
+"""Metamorphic relations: answers on a transformed instance follow from the
+answers on the original, at sizes no oracle reaches.
+
+Cloning repeats every voter r times.  The JR axioms compare group sizes with
+n/k, so they are homogeneous in the voters, and a harmonic score adds up per
+voter: every verdict, witness and existence answer carries over, and every
+optimum stays optimal with r times its score.  Most t = 1 instances become
+t >= 2 ones, and about half the clones pass 64 voters, so the multi-word
+masks and the t >= 2 capacity groups are checked against the one-word,
+t = 1 paths.
+"""
+
+import random
+from dataclasses import replace
+
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import scvoting as sv
+from scvoting import fixtures
+from conftest import random_committee, random_instance
+
+
+def cloned(inst, r):
+    """``inst`` with voter i + q·n a clone of voter i, for q < r."""
+    return sv.validate_instance(sv.ScvInstance(
+        inst.num_voters * r, inst.candidate_names, inst.subsets, inst.ballots * r))
+
+
+def clones_of(voters, n, r):
+    return frozenset(i + q * n for i in voters for q in range(r))
+
+
+def seeded(seed):
+    """A ``conftest.random_instance`` draw, at most 924 feasible committees,
+    so every exact search is cheap, and a committee of it."""
+    rng = random.Random(seed)
+    inst = random_instance(rng)
+    return inst, random_committee(rng, inst)
+
+
+@st.composite
+def clone_draws(draw):
+    """A seeded draw and a clone count: either 2 to 7, or one that takes its
+    n voters to 65 or more, up to 70."""
+    inst, w = seeded(draw(st.integers(0, 2**32 - 1)))
+    past_one_word = st.integers(-(-65 // inst.num_voters), 70)
+    return inst, w, draw(st.one_of(st.integers(2, 7), past_one_word))
+
+
+# a cut one voter too eager at t >= 2 changes the answer on about 1 draw
+# in 200; this is one of them
+EAGER_CAPACITY_CUT = (*seeded(1200), 2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(clone_draws())
+def test_cloning_scales_every_optimum_score(draw):
+    inst, _, r = draw
+    big = cloned(inst, r)
+    for variant in sv.VARIANTS:
+        w, score = sv.maximize(inst, variant)
+        assert sv.maximize(big, variant) == (w, score * r), variant
+
+
+@settings(max_examples=300, deadline=None)
+@given(clone_draws())
+def test_cloning_keeps_every_verdict_with_cloned_witness_voters(draw):
+    inst, w, r = draw
+    big = cloned(inst, r)
+    for axiom in sv.ALL_AXIOMS:
+        want = sv.check_axiom(inst, w, axiom)
+        if want.witness is not None:
+            want = replace(want, witness=replace(
+                want.witness, voters=clones_of(want.witness.voters, inst.num_voters, r)))
+        assert sv.check_axiom(big, w, axiom) == want, axiom
+
+
+@settings(max_examples=300, deadline=None)
+@given(clone_draws())
+@example(EAGER_CAPACITY_CUT)
+def test_cloning_keeps_the_existence_answer(draw):
+    inst, _, r = draw
+    assert sv.sw_jr_exists(cloned(inst, r)) == sv.sw_jr_exists(inst)
+
+
+# random draws nearly always have a representative committee, so the
+# refutations come from instances built to have none
+@pytest.mark.parametrize("r", [2, 3, 70])
+@pytest.mark.parametrize("inst", [
+    fixtures.no_swjr_instance(),
+    sv.encode_set_cover(sv.SetCoverInstance.of(4, [{0, 1}, {1, 2}, {2, 3}, {3, 0}], budget=1)),
+], ids=["no-swjr", "cover-without-answer"])
+def test_cloning_keeps_a_refutation(inst, r):
+    assert sv.sw_jr_exists(inst) is None
+    assert sv.sw_jr_exists(cloned(inst, r)) is None
