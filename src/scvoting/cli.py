@@ -1,8 +1,12 @@
 """Command-line front end.
 
 Thin adapters only: every subcommand parses its inputs, calls one library
-operation, and prints that operation's JSON serialization (with ``--json``)
-or a short human summary.  Exit codes classify the outcome:
+operation, and returns ``(payload, human lines, exit code)``.  ``run`` alone
+prints: the payload as JSON with ``--json``, else the lines unless
+``--quiet``.  The lines are read off the payload, which holds the library's
+own JSON serializations, so both renderings say the same thing.  A handler
+that writes a file returns ``None`` as its payload.  Exit codes classify the
+outcome:
 
 * 0 - success, or all requested checks passed
 * 1 - usage error
@@ -119,7 +123,12 @@ def run(argv) -> int:
     """Execute one invocation; returns the exit code instead of exiting."""
     try:
         args = build_parser().parse_args(argv)
-        return _HANDLERS[args.command](args)
+        payload, lines, code = _HANDLERS[args.command](args)
+        if args.json:
+            sys.stdout.write("" if payload is None else to_json_text(payload))
+        elif not args.quiet:
+            sys.stdout.writelines(f"{line}\n" for line in lines)
+        return code
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
     except (_UsageError, ScvError, OSError) as exc:
@@ -152,11 +161,9 @@ def _write(path: str, text: str):
             handle.write(text)
 
 
-def _write_instance(args, inst) -> int:
-    _write(args.output, serialize_instance(inst))
-    if args.output != "-" and not args.quiet and not args.json:
-        print(f"wrote {args.output}")
-    return EXIT_OK
+def _write_instance(path: str, inst):
+    _write(path, serialize_instance(inst))
+    return None, [] if path == "-" else [f"wrote {path}"], EXIT_OK
 
 
 def _load_instance(path: str) -> ScvInstance:
@@ -169,61 +176,48 @@ def _parse_committee(inst: ScvInstance, spec: str) -> Committee:
     return Committee.of(inst, members)
 
 
-def _emit(args, payload, human_lines):
-    if args.json:
-        sys.stdout.write(to_json_text(payload))
-    elif not args.quiet:
-        for line in human_lines:
-            print(line)
-
-
-def _describe_verdict(inst: ScvInstance, verdict) -> str:
-    if verdict.satisfied:
-        return f"{verdict.axiom}: pass"
-    wit = verdict.witness
-    names = ",".join(inst.candidate_name(c) for c in wit.candidates)
-    return (
-        f"{verdict.axiom}: FAIL (voters {sorted(wit.voters)} share {names}"
-        + (f" in {inst.subsets[wit.subset].name}" if wit.subset is not None else "")
-        + ")"
-    )
+def _check(inst: ScvInstance, committee: Committee, requested) -> tuple[list, list[str]]:
+    """Check each requested axiom once: its JSON verdicts, and a line read
+    off each."""
+    verdicts = [axioms.verdict_to_json(inst, axioms.check_axiom(inst, committee, axiom))
+                for axiom in requested]
+    lines = []
+    for verdict in verdicts:
+        wit = verdict["witness"]
+        if verdict["satisfied"]:
+            lines.append(f"{verdict['axiom']}: pass")
+        else:
+            where = "" if wit["subset"] is None else f" in {wit['subset']}"
+            lines.append(f"{verdict['axiom']}: FAIL (voters {wit['voters']} share "
+                         f"{','.join(wit['candidates'])}{where})")
+    return verdicts, lines
 
 
 # -- subcommands ---------------------------------------------------------------
 
 
-def _cmd_validate(args) -> int:
+def _cmd_validate(args):
     try:
         inst = parse_instance(_read(args.instance))
     except (ParseError, SemanticError) as exc:
         problems = list(getattr(exc, "problems", [])) or [str(exc)]
-        _emit(args, {"valid": False, "problems": problems},
-              [f"invalid: {p}" for p in problems])
-        return EXIT_INVALID
-    _emit(
-        args,
-        {"valid": True, "problems": []},
-        [
-            f"ok: {inst.num_voters} voters, {inst.num_subsets} subsets, "
-            f"{inst.num_candidates} candidates, committee size {inst.committee_size}"
-        ],
-    )
-    return EXIT_OK
+        lines = [f"invalid: {p}" for p in problems]
+        return {"valid": False, "problems": problems}, lines, EXIT_INVALID
+    line = (f"ok: {inst.num_voters} voters, {inst.num_subsets} subsets, "
+            f"{inst.num_candidates} candidates, committee size {inst.committee_size}")
+    return {"valid": True, "problems": []}, [line], EXIT_OK
 
 
-def _cmd_check(args) -> int:
+def _cmd_check(args):
     inst = _load_instance(args.instance)
     committee = _parse_committee(inst, args.committee)
     requested = list(axioms.ALL_AXIOMS) if args.axiom == "all" else [args.axiom]
-    verdicts = [axioms.check_axiom(inst, committee, axiom) for axiom in requested]
-    payload = [axioms.verdict_to_json(inst, v) for v in verdicts]
-    if args.axiom != "all":
-        payload = payload[0]
-    _emit(args, payload, [_describe_verdict(inst, v) for v in verdicts])
-    return EXIT_OK if all(v.satisfied for v in verdicts) else EXIT_NEGATIVE
+    verdicts, lines = _check(inst, committee, requested)
+    code = EXIT_OK if all(v["satisfied"] for v in verdicts) else EXIT_NEGATIVE
+    return verdicts if args.axiom == "all" else verdicts[0], lines, code
 
 
-def _cmd_solve(args) -> int:
+def _cmd_solve(args):
     inst = _load_instance(args.instance)
     if args.rule == "greedy":
         committee, trace = greedy.solve_greedy(inst)
@@ -232,48 +226,33 @@ def _cmd_solve(args) -> int:
         payload = {"rule": "greedy", "committee": list(inst.names_of(committee.members))}
     else:
         committee, score = pav.maximize(inst, args.rule, budget=args.budget)
-        payload = {
-            "variant": args.rule,
-            "committee": list(inst.names_of(committee.members)),
-            "score": pav.score_to_json(score),
-        }
-    verdicts = [axioms.check_axiom(inst, committee, axiom) for axiom in axioms.ALL_AXIOMS]
-    payload["axioms"] = {
-        axiom: axioms.verdict_to_json(inst, verdict)
-        for axiom, verdict in zip(axioms.ALL_AXIOMS, verdicts)
-    }
-    lines = [f"committee: {','.join(inst.names_of(committee.members))}"]
+        payload = {"variant": args.rule, "committee": list(inst.names_of(committee.members)),
+                   "score": pav.score_to_json(score)}
+    verdicts, verdict_lines = _check(inst, committee, axioms.ALL_AXIOMS)
+    payload["axioms"] = dict(zip(axioms.ALL_AXIOMS, verdicts))
+    lines = [f"committee: {','.join(payload['committee'])}"]
     if "score" in payload:
-        lines.append(f"score: {payload['score']['num']}/{payload['score']['den']}")
-    lines += [_describe_verdict(inst, verdict) for verdict in verdicts]
-    _emit(args, payload, lines)
-    return EXIT_OK
+        lines.append("score: {num}/{den}".format_map(payload["score"]))
+    return payload, lines + verdict_lines, EXIT_OK
 
 
-def _cmd_score(args) -> int:
+def _cmd_score(args):
     inst = _load_instance(args.instance)
     committee = _parse_committee(inst, args.committee)
-    score = (pav.sw_pav_score if args.variant == pav.SW_PAV else pav.iw_pav_score)(
-        inst, committee
-    )
-    payload = {
-        "variant": args.variant,
-        "committee": list(inst.names_of(committee.members)),
-        "score": pav.score_to_json(score),
-    }
-    _emit(args, payload, [f"{score.numerator}/{score.denominator}"])
-    return EXIT_OK
+    scorer = pav.sw_pav_score if args.variant == pav.SW_PAV else pav.iw_pav_score
+    score = pav.score_to_json(scorer(inst, committee))
+    payload = {"variant": args.variant, "committee": list(inst.names_of(committee.members)),
+               "score": score}
+    return payload, ["{num}/{den}".format_map(score)], EXIT_OK
 
 
-def _cmd_exists(args) -> int:
+def _cmd_exists(args):
     inst = _load_instance(args.instance)
     committee = search.sw_jr_exists(inst, budget=args.budget)
     if committee is None:
-        _emit(args, {"exists": False, "committee": None}, ["none"])
-        return EXIT_NEGATIVE
+        return {"exists": False, "committee": None}, ["none"], EXIT_NEGATIVE
     names = list(inst.names_of(committee.members))
-    _emit(args, {"exists": True, "committee": names}, [",".join(names)])
-    return EXIT_OK
+    return {"exists": True, "committee": names}, [",".join(names)], EXIT_OK
 
 
 def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
@@ -283,7 +262,7 @@ def _parse_int_list(text: str, what: str) -> tuple[int, ...]:
         raise _UsageError(f"{what} must be comma-separated integers, got {text!r}")
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args):
     if args.model == "uniform":
         missing = [f"--{name}" for name in ("voters", "sizes", "quotas", "p")
                    if getattr(args, name) is None]
@@ -317,12 +296,12 @@ def _cmd_gen(args) -> int:
             except ValueError:
                 raise _UsageError(f"bad --block {spec!r}, expected COUNT:c1,c2")
         model = PartyListModel(subsets=tuple(subsets), blocks=tuple(blocks))
-    return _write_instance(args, generate_instance(model, args.seed))
+    return _write_instance(args.output, generate_instance(model, args.seed))
 
 
-def _cmd_encode_setcover(args) -> int:
+def _cmd_encode_setcover(args):
     sc = parse_set_cover(_read(args.setcover))
-    return _write_instance(args, search.encode_set_cover(sc))
+    return _write_instance(args.output, search.encode_set_cover(sc))
 
 
 _HANDLERS = {"validate": _cmd_validate, "check": _cmd_check, "solve": _cmd_solve,

@@ -31,14 +31,14 @@ from .errors import (
     PartitionBroken,
     QuotaInfeasible,
     SemanticError,
+    exact_repr,
 )
 
 
 def _id_list(ids: list) -> str:
     """``ids`` for a message: all of them, or the first 10 and a count."""
-    if len(ids) <= 10:
-        return str(ids)
-    return f"{ids[:10]} and {len(ids) - 10} more ({len(ids)} in all)"
+    shown = f"[{', '.join(map(exact_repr, ids[:10]))}]"
+    return shown if len(ids) <= 10 else f"{shown} and {len(ids) - 10} more ({len(ids)} in all)"
 
 
 @dataclass(frozen=True)
@@ -142,9 +142,9 @@ class ScvInstance:
         return tuple(range(self.num_voters))
 
     def voters_of(self, mask: int) -> list[int]:
-        """Ids of the voters whose bits are set in ``mask``, ascending, as
-        :func:`mask_voters` gives them, picked from one tuple of ids kept on
-        the instance instead of an int made per bit."""
+        """Ids of the voters whose bits are set in ``mask``, ascending,
+        picked from one tuple of ids kept on the instance instead of an int
+        made per bit."""
         return list(compress(self._voter_ids, _selectors(mask)))
 
     @cached_property
@@ -331,12 +331,12 @@ def _validated(inst: ScvInstance, ballots) -> ScvInstance:
     # a count or quota that is no int is not compared to anything
     counted = _is_int(inst.num_voters)
     if counted and inst.num_voters < 1:
-        problems.append((InvalidInstance, f"need at least one voter, got {inst.num_voters}"))
+        problems.append((InvalidInstance, f"need at least one voter, got {exact_repr(inst.num_voters)}"))
     if inst.num_subsets < 1:
         problems.append((InvalidInstance, "need at least one candidate subset"))
     got = len(inst.ballot_rows if ballots is None else ballots)
     if counted and got != inst.num_voters:
-        problems.append((InvalidInstance, f"expected {inst.num_voters} ballots, got {got}"))
+        problems.append((InvalidInstance, f"expected {exact_repr(inst.num_voters)} ballots, got {got}"))
     if ballots is not None and _repeats(inst.candidate_names):
         problems.append((InvalidInstance, "candidate names are not unique"))
     if _repeats(subset_names):
@@ -352,7 +352,8 @@ def _validated(inst: ScvInstance, ballots) -> ScvInstance:
                 members = [c for c in members if isinstance(c, int)]
             for c in members:
                 if not 0 <= c < m:
-                    problems.append((PartitionBroken, f"subset {sub.name!r} lists out-of-range id {c}"))
+                    problems.append((PartitionBroken,
+                                     f"subset {sub.name!r} lists out-of-range id {exact_repr(c)}"))
                 elif c in seen:
                     problems.append((PartitionBroken,
                                      f"candidate id {c} appears in both {seen[c]!r} and {sub.name!r}"))
@@ -364,7 +365,7 @@ def _validated(inst: ScvInstance, ballots) -> ScvInstance:
 
     for sub in inst.subsets:
         if _is_int(sub.quota) and not 1 <= sub.quota <= sub.size:
-            problems.append((QuotaInfeasible, f"subset {sub.name!r} has quota {sub.quota}, "
+            problems.append((QuotaInfeasible, f"subset {sub.name!r} has quota {exact_repr(sub.quota)}, "
                                               f"needs 1 <= quota <= {sub.size}"))
 
     # test the distinct approved ids first; walk the ballots only to name them
@@ -399,7 +400,7 @@ class Committee:
             members = frozenset(members)
         except TypeError:  # an unhashable member, no candidate id, is named below
             pass
-        problems = [f"unknown candidate id {c!r}" for c in members
+        problems = [f"unknown candidate id {exact_repr(c)}" for c in members
                     if not _is_id(c, inst.num_candidates)]
         if not problems:
             index = inst.subset_index
@@ -455,12 +456,6 @@ _BITS = bytes.maketrans(b"01", b"\0\1")  # binary digits as selector bytes
 def _selectors(mask: int) -> bytes:
     """One byte per bit of ``mask``, bit 0 first: 1 where the bit is set."""
     return bin(mask)[:1:-1].encode().translate(_BITS)
-
-
-def mask_voters(mask: int) -> list[int]:
-    """Ids of the voters whose bits are set in ``mask``, ascending.  With an
-    instance at hand, :meth:`ScvInstance.voters_of` decodes faster."""
-    return list(compress(count(), _selectors(mask)))
 
 
 def _swap_mask(j: int) -> int:

@@ -1,6 +1,19 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the exact int text of
+the messages that hold unbounded counts."""
 
 from __future__ import annotations
+
+import decimal
+
+# decimal's own int conversion has no digit limit, and this context rounds none
+_EXACT = decimal.Context(prec=decimal.MAX_PREC, Emax=decimal.MAX_EMAX)
+
+
+def exact_repr(value) -> str:
+    """``repr(value)``, but an int (not a bool) prints at any size: ``repr``
+    refuses one past CPython's 4,300-digit limit, and lifting that limit
+    would lift it for the whole process, not for this library alone."""
+    return str(_EXACT.create_decimal(value)) if type(value) is int else repr(value)
 
 
 class ScvError(Exception):
@@ -73,7 +86,8 @@ class BudgetExceeded(ScvError):
         self.count = count
         self.budget = budget
         super().__init__(
-            f"enumeration would visit {count} committees, budget is {budget}"
+            f"enumeration would visit {exact_repr(count)} committees, "
+            f"budget is {exact_repr(budget)}"
         )
 
 

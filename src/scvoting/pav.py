@@ -41,7 +41,7 @@ from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from .core import Committee, ScvInstance
-from .errors import BudgetExceeded, NotMember
+from .errors import BudgetExceeded, NotMember, exact_repr
 
 SW_PAV = "sw-pav"
 IW_PAV = "iw-pav"
@@ -163,8 +163,8 @@ def marginal_contribution(inst: ScvInstance, committee, candidate: int) -> Fract
 
 
 def score_to_json(score: Fraction) -> dict:
-    """Exact rational as JSON-safe strings."""
-    return {"num": str(score.numerator), "den": str(score.denominator)}
+    """Exact rational as JSON-safe strings, of any length."""
+    return {"num": exact_repr(score.numerator), "den": exact_repr(score.denominator)}
 
 
 def maximize(

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import os
 import random
-from itertools import combinations
+from itertools import combinations, islice
 
 from hypothesis import settings
 
@@ -44,6 +44,35 @@ def random_instance(
         approval_prob=rng.random(),
     )
     return generate_instance(model, seed=rng.randrange(2**32))
+
+
+def planted_deadlock(rng: random.Random) -> ScvInstance:
+    """One draw that sw-jr often refutes, at t = ceil(n/k) >= 2.
+
+    1 to 3 subsets of 2 to 5 candidates and n from k + 1 to 14 voters.  In
+    one subset j, quota_j + 1 candidates get up to t voters each, disjoint,
+    so every committee leaves one of these groups without its candidate.
+    Noise approvals, with a probability drawn below a cap of 0.05, 0.15 or
+    0.4, may still represent that group through another candidate.
+    """
+    sizes = [rng.randint(2, 5) for _ in range(rng.randint(1, 3))]
+    quotas = [rng.randint(1, size - 1) for size in sizes]
+    n = rng.randint(sum(quotas) + 1, 14)
+    t = -(-n // sum(quotas))
+    names = [f"c{c}" for c in range(sum(sizes))]
+    firsts = [sum(sizes[:j]) for j in range(len(sizes))]
+    j = rng.randrange(len(sizes))
+    ballots = [set() for _ in range(n)]
+    voters = iter(rng.sample(range(n), n))
+    for c in rng.sample(range(firsts[j], firsts[j] + sizes[j]), quotas[j] + 1):
+        for v in islice(voters, t):
+            ballots[v].add(names[c])
+    p = rng.uniform(0, rng.choice((0.05, 0.15, 0.4)))
+    for ballot in ballots:
+        ballot.update(name for name in names if rng.random() < p)
+    subsets = [(f"C{j}", names[first:first + size], quota)
+               for j, (first, size, quota) in enumerate(zip(firsts, sizes, quotas))]
+    return ScvInstance.from_names(n, subsets, ballots)
 
 
 def random_committee(rng: random.Random, inst: ScvInstance) -> Committee:

@@ -1,9 +1,12 @@
 """Exit codes, JSON output identity, and subcommand plumbing."""
 
 import json
+import math
 import os
 import subprocess
 import sys
+from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -188,6 +191,52 @@ def test_score_subcommand(tmp_path, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["score"] == {"num": "18", "den": "1"}
+
+
+def _one_subset(tmp_path, size, quota, approved) -> tuple[Path, list[str]]:
+    """A file of one voter, approving the first ``approved`` of the ``size``
+    candidates of one subset; its path and the candidate names."""
+    names = [f"c{i}" for i in range(size)]
+    path = tmp_path / f"one-{size}.json"
+    path.write_text(json.dumps({
+        "voters": 1,
+        "subsets": [{"name": "C1", "candidates": names, "quota": quota}],
+        "ballots": [names[:approved]],
+    }))
+    return path, names
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]])
+@pytest.mark.parametrize("command", ["score", "solve"])
+def test_a_score_past_the_int_digit_limit_prints(tmp_path, capsys, mode, command):
+    # the one committee of 10,000 seats, all approved: its SW-PAV score, the
+    # harmonic number H(10000), has a numerator of more than 4,300 digits,
+    # past what str() of an int gives
+    path, names = _one_subset(tmp_path, 10_000, 10_000, 10_000)
+    inst = sv.parse_instance(path.read_text())
+    want = sv.sw_pav_score(inst, inst.committee(range(10_000)))
+    assert len(str(Decimal(want.numerator))) > 4_300
+    if command == "score":
+        argv = ["score", "--variant", "sw-pav", "--committee", ",".join(names)]
+    else:
+        argv = ["solve", "--rule", "sw-pav"]
+    assert run([*mode, *argv, str(path)]) == 0
+    out = capsys.readouterr().out
+    if mode:
+        score = json.loads(out)["score"]
+        assert Fraction(int(Decimal(score["num"])), int(Decimal(score["den"]))) == want
+    else:
+        assert f"{Decimal(want.numerator)}/{Decimal(want.denominator)}\n" in out
+
+
+@pytest.mark.parametrize("argv", [["solve", "--rule", "sw-pav"], ["exists", "--axiom", "sw-jr"]])
+def test_a_committee_count_past_the_int_digit_limit_is_exit_four(tmp_path, capsys, argv):
+    # C(16000, 8000) committees, a count of 4,815 digits
+    path, _ = _one_subset(tmp_path, 16_000, 8_000, 1)
+    assert run([*argv, str(path)]) == 4
+    count = Decimal(math.comb(16_000, 8_000))
+    assert len(str(count)) == 4_815
+    assert f"enumeration would visit {count} committees" in capsys.readouterr().err
 
 
 def test_exists_negative_and_positive(deadlock_file, split_file, capsys):

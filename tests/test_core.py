@@ -6,6 +6,7 @@ import math
 import random
 import sys
 import tempfile
+from decimal import Decimal
 from pathlib import Path
 
 import pytest
@@ -16,7 +17,12 @@ import scvoting as sv
 from scvoting import core, fixtures
 from scvoting.cli import run
 from conftest import random_committee, random_instance
-from scvoting.core import mask_voters
+
+
+def mask_voters(mask: int) -> list[int]:
+    """Reference decoder: ids of the voters whose bits are set in ``mask``,
+    ascending, read one bit at a time."""
+    return [v for v in range(mask.bit_length()) if mask >> v & 1]
 
 
 # -- validation ----------------------------------------------------------------
@@ -454,6 +460,32 @@ def test_infeasible_committee_rejected():
         sv.Committee.of(inst, ["a1", 2])
     with pytest.raises(sv.InfeasibleCommittee, match=r"^unknown candidate id \[1\]$"):
         sv.Committee.of(inst, [[1], 2])  # unhashable
+
+
+BIG = 7 * 10**5_000  # 5,001 digits, past what str() of an int gives
+
+
+def one_subset(voters, members, quota, ballot):
+    """Validate an instance of one subset ``C`` on candidate ``x``."""
+    return sv.validate_instance(
+        sv.ScvInstance(voters, ["x"], [sv.CandidateSubset("C", members, quota)], [ballot]))
+
+
+@pytest.mark.parametrize("build, message", [
+    (lambda: sv.Committee.of(fixtures.no_swjr_instance(), [BIG, 2]), "unknown candidate id 7000"),
+    (lambda: one_subset(1, (0,), 1, [BIG]), "ballot 0 references unknown candidate ids [7000"),
+    (lambda: one_subset(1, (0, BIG), 1, [0]), "subset 'C' lists out-of-range id 7000"),
+    (lambda: one_subset(1, (0,), BIG, [0]), "subset 'C' has quota 7000"),
+    (lambda: one_subset(BIG, (0,), 1, [0]), "expected 7000"),
+    (lambda: one_subset(-BIG, (0,), 1, [0]), "need at least one voter, got -7000"),
+    (lambda: sv.SetCoverInstance.of(2, [{0, 1, BIG}], 1),
+     "collection references out-of-range elements [7000"),
+], ids=["committee", "ballot", "subset-id", "quota", "voters", "no-voters", "cover"])
+def test_an_int_past_the_digit_limit_is_named_in_full(build, message):
+    with pytest.raises(sv.ScvError) as excinfo:
+        build()
+    assert message in str(excinfo.value)
+    assert str(Decimal(abs(BIG))) in str(excinfo.value)
 
 
 def test_committee_problems_keep_their_messages_and_order():

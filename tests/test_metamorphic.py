@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 import scvoting as sv
 from scvoting import fixtures
-from conftest import random_committee, random_instance
+from conftest import planted_deadlock, random_committee, random_instance
 
 
 def cloned(inst, r):
@@ -82,6 +82,13 @@ def test_cloning_keeps_every_verdict_with_cloned_witness_voters(draw):
 @example(EAGER_CAPACITY_CUT)
 def test_cloning_keeps_the_existence_answer(draw):
     inst, _, r = draw
+    assert sv.sw_jr_exists(cloned(inst, r)) == sv.sw_jr_exists(inst)
+
+
+# about one planted draw in nine has no representative committee
+@settings(max_examples=150, deadline=None)
+@given(st.builds(planted_deadlock, st.randoms(use_true_random=False)), st.integers(2, 7))
+def test_cloning_keeps_the_existence_answer_on_planted_deadlocks(inst, r):
     assert sv.sw_jr_exists(cloned(inst, r)) == sv.sw_jr_exists(inst)
 
 
