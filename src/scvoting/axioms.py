@@ -46,7 +46,7 @@ from .core import (
     best_supported,
     validate_instance,
 )
-from .errors import BadBallot, TooLarge
+from .errors import BadBallot, TooLarge, exact_str
 
 JR = "jr"
 SW_JR = "sw-jr"
@@ -248,11 +248,11 @@ def check_jr(
         inst = ballots
         if k != inst.committee_size:
             raise ValueError(
-                f"k = {k} but the instance's committee size is {inst.committee_size}"
+                f"k = {exact_str(k)} but the instance's committee size is {inst.committee_size}"
             )
         if num_candidates not in (None, inst.num_candidates):
             raise ValueError(
-                f"num_candidates = {num_candidates} but the instance has {inst.num_candidates}"
+                f"num_candidates = {exact_str(num_candidates)} but the instance has {inst.num_candidates}"
             )
     else:
         ballots, committee = [list(b) for b in ballots], list(committee)
@@ -298,7 +298,7 @@ def brute_force_axiom(
         raise ValueError(f"unknown axiom {axiom!r}")
     if inst.num_voters > cap:
         raise TooLarge(
-            f"{inst.num_voters} voters exceeds the enumeration cap of {cap}"
+            f"{inst.num_voters} voters exceeds the enumeration cap of {exact_str(cap)}"
         )
     won = Committee.of(inst, committee).members
     n, k = inst.num_voters, inst.committee_size

@@ -32,6 +32,7 @@ from .errors import (
     QuotaInfeasible,
     SemanticError,
     exact_repr,
+    exact_str,
 )
 
 
@@ -221,7 +222,9 @@ class ScvInstance:
         """Build and validate an instance whose :attr:`ballot_rows` are
         ``rows``, whose names are distinct and whose subsets number their
         members 0 .. m-1 in declaration order, once each: its partition
-        holds by construction and the sizes give its subset index."""
+        holds by construction and the sizes give its subset index.  Its
+        callers are :meth:`from_names`, the uniform generator and
+        :func:`search.encode_set_cover`."""
         inst = cls.__new__(cls)
         inst.__dict__.update(
             num_voters=num_voters,
@@ -739,9 +742,16 @@ class SetCoverInstance:
 
 
 def validate_set_cover(sc: SetCoverInstance) -> SetCoverInstance:
+    # the field types parsing requires, in its words, before any comparison
+    wrong = [_wrong_type(sc.ground_size, int, "set cover", "ground"),
+             _wrong_type(sc.budget, int, "set cover", "budget")]
+    wrong += [f"set-cover subset {idx} must be a list of integers"
+              for idx, entry in enumerate(sc.collection) if not all(map(_is_int, entry))]
+    if any(wrong):
+        raise InvalidSetCover(filter(None, wrong))
     problems = []
     if sc.ground_size < 1:
-        problems.append(f"ground set must be non-empty, got size {sc.ground_size}")
+        problems.append(f"ground set must be non-empty, got size {exact_str(sc.ground_size)}")
     if not sc.collection:
         problems.append("collection must contain at least one subset")
     out_of_range = sorted(
@@ -755,7 +765,7 @@ def validate_set_cover(sc: SetCoverInstance) -> SetCoverInstance:
         problems.append(f"elements {_id_list(missing)} are covered by no subset")
     if not 1 <= sc.budget <= max(len(sc.collection), 1):
         problems.append(
-            f"budget {sc.budget} outside 1 .. {len(sc.collection)}"
+            f"budget {exact_str(sc.budget)} outside 1 .. {len(sc.collection)}"
         )
     if problems:
         raise InvalidSetCover(problems)
@@ -840,10 +850,10 @@ def generate_set_cover(model: SetCoverModel, seed: int) -> SetCoverInstance:
     if model.ground_size < 1 or model.num_subsets < 1:
         raise BadSpec("ground size and subset count must be positive")
     if not 0.0 <= model.membership_prob <= 1.0:
-        raise BadSpec(f"membership probability {model.membership_prob} outside [0, 1]")
+        raise BadSpec(f"membership probability {exact_str(model.membership_prob)} outside [0, 1]")
     if not 1 <= model.budget <= model.num_subsets:
         raise BadSpec(
-            f"budget {model.budget} outside 1 .. {model.num_subsets}"
+            f"budget {exact_str(model.budget)} outside 1 .. {exact_str(model.num_subsets)}"
         )
     rng = random.Random(seed)
     subsets = [
@@ -877,14 +887,14 @@ def generate_instance(model, seed: int) -> ScvInstance:
 
 def _generate_uniform(model: UniformModel, seed: int) -> ScvInstance:
     if model.num_voters < 1:
-        raise BadSpec(f"need at least one voter, got {model.num_voters}")
+        raise BadSpec(f"need at least one voter, got {exact_str(model.num_voters)}")
     if len(model.sizes) != len(model.quotas) or not model.sizes:
         raise BadSpec("sizes and quotas must be non-empty lists of equal length")
     for size, quota in zip(model.sizes, model.quotas):
         if size < 1 or not 1 <= quota <= size:
-            raise BadSpec(f"bad subset shape: size {size}, quota {quota}")
+            raise BadSpec(f"bad subset shape: size {exact_str(size)}, quota {exact_str(quota)}")
     if not 0.0 <= model.approval_prob <= 1.0:
-        raise BadSpec(f"approval probability {model.approval_prob} outside [0, 1]")
+        raise BadSpec(f"approval probability {exact_str(model.approval_prob)} outside [0, 1]")
     subsets = []
     next_id = 0
     for j, (size, quota) in enumerate(zip(model.sizes, model.quotas)):
@@ -904,7 +914,7 @@ def _generate_party_list(model: PartyListModel) -> ScvInstance:
     ballots: list[tuple[str, ...]] = []
     for count, approved in model.blocks:
         if count < 1:
-            raise BadSpec(f"block size must be positive, got {count}")
+            raise BadSpec(f"block size must be positive, got {exact_str(count)}")
         ballots.extend([approved] * count)
     try:
         return ScvInstance.from_names(len(ballots), model.subsets, ballots)

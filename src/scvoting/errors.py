@@ -16,6 +16,13 @@ def exact_repr(value) -> str:
     return str(_EXACT.create_decimal(value)) if type(value) is int else repr(value)
 
 
+def exact_str(value) -> str:
+    """``str(value)``, but an int (not a bool) prints at any size, as in
+    :func:`exact_repr`: for the messages that print a caller's value as
+    ``str`` does, before or without a type check."""
+    return str(_EXACT.create_decimal(value)) if type(value) is int else str(value)
+
+
 class ScvError(Exception):
     """Base class for all library errors."""
 

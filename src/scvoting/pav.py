@@ -41,7 +41,7 @@ from operator import or_
 from typing import Iterable, Optional, Sequence
 
 from .core import Committee, ScvInstance
-from .errors import BudgetExceeded, NotMember, exact_repr
+from .errors import BudgetExceeded, NotMember, exact_repr, exact_str
 
 SW_PAV = "sw-pav"
 IW_PAV = "iw-pav"
@@ -94,7 +94,7 @@ def _scaled_harmonics(counts: Iterable[int]) -> tuple[int, dict[int, int]]:
 def harmonic(j: int) -> Fraction:
     """The j-th harmonic number as an exact rational; ``harmonic(0) == 0``."""
     if j < 0:
-        raise ValueError(f"harmonic undefined for negative {j}")
+        raise ValueError(f"harmonic undefined for negative {exact_str(j)}")
     scale, sums = _scaled_harmonics([j])
     return Fraction(sums[j], scale)
 
@@ -157,7 +157,7 @@ def marginal_contribution(inst: ScvInstance, committee, candidate: int) -> Fract
     members = Committee.of(inst, committee).members
     if candidate not in members:
         raise NotMember(
-            f"candidate {candidate} is not in the committee {sorted(members)}"
+            f"candidate {exact_str(candidate)} is not in the committee {sorted(members)}"
         )
     return _score(inst, [members]) - _score(inst, [members - {candidate}])
 

@@ -64,11 +64,11 @@ lexicographically least satisfying committee, which is what the search
 returns.  A :class:`SearchStats` passed in receives the work done.
 
 :func:`encode_set_cover` embeds a set-cover question into this decision
-problem: voters are the ground elements, one single-voter candidate per
-voter fills a first subset whose quota forces all of them in, and the
-covering collection becomes the second subset with the cover budget as its
-quota.  The encoded instance admits a span-wide representative committee iff
-the cover exists, and :func:`decode_committee_to_cover` extracts the cover.
+problem: voters are the ground elements, as many candidates as voters,
+approved by no voter, fill a first subset whose quota forces all of them
+in, and the covering collection becomes the second subset with the cover
+budget as its quota.  A span-wide representative committee exists iff the
+cover does, and :func:`decode_committee_to_cover` extracts the cover.
 """
 
 from __future__ import annotations
@@ -80,6 +80,7 @@ from operator import and_, or_
 from typing import Optional
 
 from .core import (
+    CandidateSubset,
     Committee,
     ScvInstance,
     SetCoverInstance,
@@ -265,22 +266,14 @@ def encode_set_cover(sc: SetCoverInstance) -> ScvInstance:
     which only the second subset can decide.
     """
     validate_set_cover(sc)
-    n = sc.ground_size
-    t = len(sc.collection)
-    voter_candidates = [f"a{i + 1}" for i in range(n)]
-    entry_candidates = [f"s{j + 1}" for j in range(t)]
-    ballots = [
-        [entry_candidates[j] for j, entry in enumerate(sc.collection) if i in entry]
-        for i in range(n)
-    ]
-    return ScvInstance.from_names(
-        num_voters=n,
-        subsets=[
-            ("C1", voter_candidates, n),
-            ("C2", entry_candidates, sc.budget),
-        ],
-        ballots=ballots,
-    )
+    n, t = sc.ground_size, len(sc.collection)
+    rows = [0] * n
+    for j, entry in enumerate(sc.collection):
+        for i in entry:
+            rows[i] |= 1 << n + j
+    names = [f"a{i + 1}" for i in range(n)] + [f"s{j + 1}" for j in range(t)]
+    subsets = [CandidateSubset("C1", range(n), n), CandidateSubset("C2", range(n, n + t), sc.budget)]
+    return ScvInstance._from_rows(n, names, subsets, rows)
 
 
 def decode_committee_to_cover(sc: SetCoverInstance, committee) -> frozenset[int]:
@@ -294,8 +287,8 @@ def decode_committee_to_cover(sc: SetCoverInstance, committee) -> frozenset[int]
     members = Committee.of(inst, committee).members
     n = sc.ground_size
     chosen = frozenset(c - n for c in members if c >= n)
-    covered = frozenset().union(*(sc.collection[j] for j in chosen)) if chosen else frozenset()
-    if len(chosen) > sc.budget or covered != frozenset(range(n)):
+    covered = frozenset().union(*(sc.collection[j] for j in chosen))
+    if covered != frozenset(range(n)):
         raise NotACover(
             f"selected entries {sorted(chosen)} cover {sorted(covered)}, "
             f"not the full ground set of size {n}"

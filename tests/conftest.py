@@ -29,6 +29,7 @@ def random_instance(
     max_voters: int = 12,
     max_candidates: int = 12,
     max_subsets: int = 3,
+    min_voters: int = 1,
 ) -> ScvInstance:
     """One draw from a randomized uniform-approval model."""
     num_subsets = rng.randint(1, max_subsets)
@@ -38,7 +39,7 @@ def random_instance(
     sizes = tuple(b - a for a, b in zip(bounds, bounds[1:]))
     quotas = tuple(rng.randint(1, size) for size in sizes)
     model = UniformModel(
-        num_voters=rng.randint(1, max_voters),
+        num_voters=rng.randint(min_voters, max_voters),
         sizes=sizes,
         quotas=quotas,
         approval_prob=rng.random(),

@@ -480,12 +480,60 @@ def one_subset(voters, members, quota, ballot):
     (lambda: one_subset(-BIG, (0,), 1, [0]), "need at least one voter, got -7000"),
     (lambda: sv.SetCoverInstance.of(2, [{0, 1, BIG}], 1),
      "collection references out-of-range elements [7000"),
-], ids=["committee", "ballot", "subset-id", "quota", "voters", "no-voters", "cover"])
+    (lambda: sv.SetCoverInstance.of(-BIG, [{0}], 1), "ground set must be non-empty, got size -7000"),
+    (lambda: sv.SetCoverInstance.of(1, [{0}], BIG), "budget 7000"),
+    (lambda: sv.generate_instance(sv.UniformModel(-BIG, (2,), (1,), 0.5), 1),
+     "need at least one voter, got -7000"),
+    (lambda: sv.generate_instance(sv.UniformModel(1, (2,), (BIG,), 0.5), 1),
+     "bad subset shape: size 2, quota 7000"),
+    (lambda: sv.generate_instance(sv.PartyListModel([("C", ["x"], 1)], [(-BIG, ["x"])]), 1),
+     "block size must be positive, got -7000"),
+    (lambda: sv.generate_instance(sv.SetCoverModel(2, 2, 0.5, BIG), 1), "budget 7000"),
+    (lambda: sv.marginal_contribution(fixtures.no_swjr_instance(), [0, 2], BIG), "candidate 7000"),
+    (lambda: sv.brute_force_axiom(fixtures.no_swjr_instance(), [0, 2], sv.JR, -BIG),
+     "enumeration cap of -7000"),
+], ids=["committee", "ballot", "subset-id", "quota", "voters", "no-voters", "cover",
+        "cover-ground", "cover-budget", "uniform-voters", "uniform-quota", "party-list-block",
+        "set-cover-model-budget", "marginal", "brute-force-cap"])
 def test_an_int_past_the_digit_limit_is_named_in_full(build, message):
     with pytest.raises(sv.ScvError) as excinfo:
         build()
     assert message in str(excinfo.value)
     assert str(Decimal(abs(BIG))) in str(excinfo.value)
+
+
+# these arguments are documented to raise ValueError, as a wrong argument
+# to a plain function does; its message names the number in full as well
+@pytest.mark.parametrize("build, message", [
+    (lambda: sv.harmonic(-BIG), "harmonic undefined for negative -7000"),
+    (lambda: sv.check_jr(fixtures.no_swjr_instance(), [0, 2], BIG), "k = 7000"),
+    (lambda: sv.check_jr(fixtures.no_swjr_instance(), [0, 2], 2, BIG), "num_candidates = 7000"),
+], ids=["harmonic", "jr-committee-size", "jr-candidate-count"])
+def test_an_int_past_the_digit_limit_in_a_value_error_is_named_in_full(build, message):
+    with pytest.raises(ValueError) as excinfo:
+        build()
+    assert type(excinfo.value) is ValueError
+    assert message in str(excinfo.value)
+    assert str(Decimal(abs(BIG))) in str(excinfo.value)
+
+
+@pytest.mark.parametrize("ground, subsets, budget, problems", [
+    ("3", [[0]], 1, ["set cover field 'ground' must be an integer"]),
+    (1, [[0]], "1", ["set cover field 'budget' must be an integer"]),
+    (1.0, [[0]], True, ["set cover field 'ground' must be an integer",
+                        "set cover field 'budget' must be an integer"]),
+    (2, [[0], ["a", 1]], 1, ["set-cover subset 1 must be a list of integers"]),
+    (1, [[0.0]], 1, ["set-cover subset 0 must be a list of integers"]),
+    (2, [[0, True]], 1, ["set-cover subset 0 must be a list of integers"]),
+], ids=["ground", "budget", "both", "string-element", "float-element", "bool-element"])
+def test_a_mistyped_set_cover_names_its_fields_as_its_document_does(ground, subsets, budget,
+                                                                     problems):
+    with pytest.raises(sv.InvalidSetCover) as excinfo:
+        sv.SetCoverInstance.of(ground, subsets, budget)
+    assert excinfo.value.problems == problems
+    doc = json.dumps({"ground": ground, "subsets": subsets, "budget": budget})
+    with pytest.raises(sv.ParseError, match=problems[0]):
+        sv.parse_set_cover(doc)
 
 
 def test_committee_problems_keep_their_messages_and_order():

@@ -8,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import scvoting as sv
-from scvoting import fixtures, search
+from scvoting import core, fixtures, search
 from conftest import cover_exists, planted_deadlock, random_instance
 
 FIXTURES = [
@@ -190,7 +190,7 @@ def test_search_matches_the_oracles_in_both_regimes(inst):
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.builds(planted_deadlock, st.randoms(use_true_random=False)))
+@given(st.builds(planted_deadlock, st.integers(0, 2**32 - 1).map(random.Random)))
 def test_search_matches_enumeration_on_planted_deadlocks(inst):
     # about one draw in nine is refuted, against a few in a thousand from
     # random_instance, and every refutation here sits at t >= 2
@@ -494,3 +494,32 @@ def test_encoded_covers_match_the_cover_oracle(sc):
     if committee is not None:
         assert len(sv.decode_committee_to_cover(sc, committee)) <= sc.budget
         assert committee.sorted_members == lexmin_passing(encoded)
+
+
+def encoded_through_names(sc):
+    """The encoding as names resolved again: candidates ``a1…`` and ``s1…``,
+    each ballot written as the names of the entries that hold its voter."""
+    n = sc.ground_size
+    voter_candidates = [f"a{i + 1}" for i in range(n)]
+    entry_candidates = [f"s{j + 1}" for j in range(len(sc.collection))]
+    ballots = [[entry_candidates[j] for j, entry in enumerate(sc.collection) if i in entry]
+               for i in range(n)]
+    return sv.ScvInstance.from_names(
+        n, [("C1", voter_candidates, n), ("C2", entry_candidates, sc.budget)], ballots)
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("the encoding resolved candidate names")
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover_questions())
+def test_the_encoding_lays_out_what_the_names_resolve_to(sc):
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(core, "_resolve_ballots", refuse)
+        patch.setattr(sv.ScvInstance, "from_names", refuse)
+        encoded = sv.encode_set_cover(sc)
+    want = encoded_through_names(sc)
+    assert encoded == want
+    assert encoded.ballot_rows == want.ballot_rows
+    assert sv.serialize_instance(encoded) == sv.serialize_instance(want)
