@@ -166,10 +166,6 @@ def _write_instance(path: str, inst):
     return None, [] if path == "-" else [f"wrote {path}"], EXIT_OK
 
 
-def _load_instance(path: str) -> ScvInstance:
-    return parse_instance(_read(path))
-
-
 def _parse_committee(inst: ScvInstance, spec: str) -> Committee:
     names = [name.strip() for name in spec.split(",") if name.strip()]
     members = [inst.candidate_id(name) for name in names]
@@ -209,7 +205,7 @@ def _cmd_validate(args):
 
 
 def _cmd_check(args):
-    inst = _load_instance(args.instance)
+    inst = parse_instance(_read(args.instance))
     committee = _parse_committee(inst, args.committee)
     requested = list(axioms.ALL_AXIOMS) if args.axiom == "all" else [args.axiom]
     verdicts, lines = _check(inst, committee, requested)
@@ -218,7 +214,7 @@ def _cmd_check(args):
 
 
 def _cmd_solve(args):
-    inst = _load_instance(args.instance)
+    inst = parse_instance(_read(args.instance))
     if args.rule == "greedy":
         committee, trace = greedy.solve_greedy(inst)
         if args.trace:
@@ -237,7 +233,7 @@ def _cmd_solve(args):
 
 
 def _cmd_score(args):
-    inst = _load_instance(args.instance)
+    inst = parse_instance(_read(args.instance))
     committee = _parse_committee(inst, args.committee)
     scorer = pav.sw_pav_score if args.variant == pav.SW_PAV else pav.iw_pav_score
     score = pav.score_to_json(scorer(inst, committee))
@@ -247,7 +243,7 @@ def _cmd_score(args):
 
 
 def _cmd_exists(args):
-    inst = _load_instance(args.instance)
+    inst = parse_instance(_read(args.instance))
     committee = search.sw_jr_exists(inst, budget=args.budget)
     if committee is None:
         return {"exists": False, "committee": None}, ["none"], EXIT_NEGATIVE

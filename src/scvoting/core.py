@@ -255,6 +255,12 @@ def validate_instance(raw) -> ScvInstance:
     return _validated(raw, raw.ballots)
 
 
+def _listlike(kind: type) -> bool:
+    """Whether values of ``kind`` are read as a list: iterable, and neither a
+    string nor a mapping, which iterate over characters or keys."""
+    return issubclass(kind, Iterable) and not issubclass(kind, (str, Mapping))
+
+
 def _resolve_ballots(bit_of: Mapping[str, int], ballots) -> tuple[int, ...]:
     """One candidate bitmask per ballot of names, ``bit_of[name]`` summed.
 
@@ -263,10 +269,8 @@ def _resolve_ballots(bit_of: Mapping[str, int], ballots) -> tuple[int, ...]:
     :class:`SemanticError` names the first ballot with an undeclared name.
     """
     ballots = list(ballots)
-    if not all(issubclass(t, Iterable) and not issubclass(t, (str, Mapping))
-               for t in set(map(type, ballots))):
-        i = next(i for i, b in enumerate(ballots)
-                 if isinstance(b, (str, Mapping)) or not isinstance(b, Iterable))
+    if not all(map(_listlike, set(map(type, ballots)))):
+        i = next(i for i, b in enumerate(ballots) if not _listlike(type(b)))
         raise InvalidInstance([f"ballot entry {i} must be a list of candidate names"])
     try:
         sizes = list(map(len, ballots))
@@ -738,7 +742,17 @@ class SetCoverInstance:
 
     @classmethod
     def of(cls, ground_size: int, collection, budget: int) -> "SetCoverInstance":
-        return validate_set_cover(cls(ground_size, tuple(collection), budget))
+        # named in the words parsing uses for the same document
+        if not _listlike(type(collection)):
+            raise InvalidSetCover(["set cover field 'subsets' has the wrong type"])
+        sets = []
+        for idx, entry in enumerate(collection):
+            try:
+                sets.append(frozenset(entry))
+            except TypeError:  # not iterable, or holding an unhashable item
+                problem = f"set-cover subset {idx} must be a list of integers"
+                raise InvalidSetCover([problem]) from None
+        return validate_set_cover(cls(ground_size, tuple(sets), budget))
 
 
 def validate_set_cover(sc: SetCoverInstance) -> SetCoverInstance:
@@ -845,11 +859,35 @@ class SetCoverModel:
     budget: int
 
 
+def _require_ints(model, **fields) -> None:
+    """Raise :class:`BadSpec` naming the first field, given as its value or as
+    a tuple of its counts, that holds a value that is not an int.  A bool
+    passes, as it does in arithmetic and in :func:`_is_id`."""
+    for field, values in fields.items():
+        for value in values if isinstance(values, tuple) else (values,):
+            if not isinstance(value, int):
+                raise BadSpec(f"{type(model).__name__} field {field!r} holds {value!r}, "
+                              "not an integer")
+
+
+def _in_unit_range(model, field: str) -> bool:
+    """Whether the probability in ``field`` lies in [0, 1]; :class:`BadSpec`
+    when it cannot be compared with a number (a Fraction can)."""
+    value = getattr(model, field)
+    try:
+        return 0.0 <= value <= 1.0
+    except TypeError:
+        raise BadSpec(f"{type(model).__name__} field {field!r} holds {value!r}, "
+                      "not a number") from None
+
+
 def generate_set_cover(model: SetCoverModel, seed: int) -> SetCoverInstance:
     """Random covering collection; deterministic in ``(model, seed)``."""
+    _require_ints(model, ground_size=model.ground_size, num_subsets=model.num_subsets,
+                  budget=model.budget)
     if model.ground_size < 1 or model.num_subsets < 1:
         raise BadSpec("ground size and subset count must be positive")
-    if not 0.0 <= model.membership_prob <= 1.0:
+    if not _in_unit_range(model, "membership_prob"):
         raise BadSpec(f"membership probability {exact_str(model.membership_prob)} outside [0, 1]")
     if not 1 <= model.budget <= model.num_subsets:
         raise BadSpec(
@@ -886,6 +924,7 @@ def generate_instance(model, seed: int) -> ScvInstance:
 
 
 def _generate_uniform(model: UniformModel, seed: int) -> ScvInstance:
+    _require_ints(model, num_voters=model.num_voters, sizes=model.sizes, quotas=model.quotas)
     if model.num_voters < 1:
         raise BadSpec(f"need at least one voter, got {exact_str(model.num_voters)}")
     if len(model.sizes) != len(model.quotas) or not model.sizes:
@@ -893,7 +932,7 @@ def _generate_uniform(model: UniformModel, seed: int) -> ScvInstance:
     for size, quota in zip(model.sizes, model.quotas):
         if size < 1 or not 1 <= quota <= size:
             raise BadSpec(f"bad subset shape: size {exact_str(size)}, quota {exact_str(quota)}")
-    if not 0.0 <= model.approval_prob <= 1.0:
+    if not _in_unit_range(model, "approval_prob"):
         raise BadSpec(f"approval probability {exact_str(model.approval_prob)} outside [0, 1]")
     subsets = []
     next_id = 0
@@ -911,6 +950,7 @@ def _generate_uniform(model: UniformModel, seed: int) -> ScvInstance:
 def _generate_party_list(model: PartyListModel) -> ScvInstance:
     if not model.blocks:
         raise BadSpec("party-list model needs at least one block")
+    _require_ints(model, blocks=tuple(count for count, _ in model.blocks))
     ballots: list[tuple[str, ...]] = []
     for count, approved in model.blocks:
         if count < 1:

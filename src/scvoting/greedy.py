@@ -140,18 +140,12 @@ def lemma1_gap(
     return lhs, rhs
 
 
-def trace_step_to_json(inst: ScvInstance, step: GreedyStep) -> dict:
-    return {
+def trace_to_json_lines(inst: ScvInstance, trace: GreedyTrace) -> str:
+    """One compact JSON object per line, one line per step."""
+    return "".join(json.dumps({
         "phase": step.phase,
         "candidate": inst.candidate_name(step.candidate),
         "subset": inst.subsets[step.subset].name,
         "support": step.support,
         "newly_represented": list(step.newly_represented),
-    }
-
-
-def trace_to_json_lines(inst: ScvInstance, trace: GreedyTrace) -> str:
-    """One compact JSON object per line, one line per step."""
-    return "".join(
-        json.dumps(trace_step_to_json(inst, step)) + "\n" for step in trace.steps
-    )
+    }) + "\n" for step in trace.steps)

@@ -197,14 +197,9 @@ def maximize(
                 for scope in scopes)
     scale = lcm(*range(1, c_max + 1))
     steps = [scale // j for j in range(1, c_max + 1)]
-    parts = [_search(masks, inst.num_voters, scope, steps) for scope in scopes]
-    if stats is not None:
-        for _, _, (nodes, leaves, pruned, forced) in parts:
-            stats.nodes += nodes
-            stats.leaves += leaves
-            stats.pruned_bound += pruned
-            stats.forced += forced
-    score, members = sum(s for s, _, _ in parts), [c for _, part, _ in parts for c in part]
+    stats = MaximizeStats() if stats is None else stats
+    parts = [_search(masks, inst.num_voters, scope, steps, stats) for scope in scopes]
+    score, members = sum(s for s, _ in parts), [c for _, part in parts for c in part]
     return Committee(frozenset(members)), Fraction(score, scale)
 
 
@@ -213,11 +208,11 @@ def _search(
     num_voters: int,
     subsets: Sequence[tuple[Sequence[int], int]],
     steps: Sequence[int],
-) -> tuple[int, tuple[int, ...], tuple[int, int, int, int]]:
+    stats: MaximizeStats,
+) -> tuple[int, tuple[int, ...]]:
     """Best scaled score over every choice of ``quota`` members from each
     ``(sorted pool, quota)`` pair, with the lexicographically least sorted
-    member tuple among ties, and the search's counts in the order of
-    :class:`MaximizeStats`.
+    member tuple among ties; the search's counts are added to ``stats``.
 
     ``steps[j]`` is L // (j + 1), a voter's scaled gain when its count rises
     from j to j + 1, up to the largest count any voter can reach here.  Each
@@ -350,4 +345,8 @@ def _search(
         picks[d] = p if levels[d][0] is None else levels[d][0]
         fresh = True
     # every child is cut, scored or entered, so those counts sum to the nodes
-    return best, best_members, (entered + leaves + pruned, leaves, pruned, forced)
+    stats.nodes += entered + leaves + pruned
+    stats.leaves += leaves
+    stats.pruned_bound += pruned
+    stats.forced += forced
+    return best, best_members

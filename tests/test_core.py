@@ -7,6 +7,7 @@ import random
 import sys
 import tempfile
 from decimal import Decimal
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -525,7 +526,15 @@ def test_an_int_past_the_digit_limit_in_a_value_error_is_named_in_full(build, me
     (2, [[0], ["a", 1]], 1, ["set-cover subset 1 must be a list of integers"]),
     (1, [[0.0]], 1, ["set-cover subset 0 must be a list of integers"]),
     (2, [[0, True]], 1, ["set-cover subset 0 must be a list of integers"]),
-], ids=["ground", "budget", "both", "string-element", "float-element", "bool-element"])
+    (1, [5], 1, ["set-cover subset 0 must be a list of integers"]),
+    (1, [None], 1, ["set-cover subset 0 must be a list of integers"]),
+    (1, [[[0]]], 1, ["set-cover subset 0 must be a list of integers"]),
+    (1, 5, 1, ["set cover field 'subsets' has the wrong type"]),
+    (1, {0: 1}, 1, ["set cover field 'subsets' has the wrong type"]),
+    (1, "ab", 1, ["set cover field 'subsets' has the wrong type"]),
+], ids=["ground", "budget", "both", "string-element", "float-element", "bool-element",
+        "int-subset", "null-subset", "nested-subset", "int-collection", "mapping-collection",
+        "string-collection"])
 def test_a_mistyped_set_cover_names_its_fields_as_its_document_does(ground, subsets, budget,
                                                                      problems):
     with pytest.raises(sv.InvalidSetCover) as excinfo:
@@ -1143,6 +1152,41 @@ def test_bad_generator_specs_name_their_cause(model, message):
     with pytest.raises(sv.BadSpec) as excinfo:
         sv.generate_instance(model, 1)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("model, field", [
+    (sv.UniformModel(2.5, (2,), (1,), 0.5), "num_voters"),
+    (sv.UniformModel("2", (2,), (1,), 0.5), "num_voters"),
+    (sv.UniformModel(2, (2.0,), (1,), 0.5), "sizes"),
+    (sv.UniformModel(2, ("2",), (1,), 0.5), "sizes"),
+    (sv.UniformModel(2, (2,), (1.0,), 0.5), "quotas"),
+    (sv.UniformModel(2, (2,), (1,), "x"), "approval_prob"),
+    (sv.PartyListModel((("C", ("a",), 1),), (("3", ("a",)),)), "blocks"),
+    (sv.PartyListModel((("C", ("a",), 1),), ((2.0, ("a",)),)), "blocks"),
+    (sv.SetCoverModel("3", 2, 0.5, 1), "ground_size"),
+    (sv.SetCoverModel(2.5, 2, 0.5, 1), "ground_size"),
+    (sv.SetCoverModel(3, 2.0, 0.5, 1), "num_subsets"),
+    (sv.SetCoverModel(3, 2, "x", 1), "membership_prob"),
+    (sv.SetCoverModel(3, 2, 0.5, 1.5), "budget"),
+], ids=["float-voters", "string-voters", "float-size", "string-size", "float-quota",
+        "string-probability", "string-block", "float-block", "string-ground", "float-ground",
+        "float-subsets", "string-membership", "float-budget"])
+def test_a_mistyped_generator_model_names_its_field(model, field):
+    # checked before anything is drawn, in the dataclass's own field names
+    with pytest.raises(sv.BadSpec, match=f"^{type(model).__name__} field '{field}' holds "):
+        sv.generate_instance(model, 1)
+
+
+def test_a_bool_count_or_a_fraction_probability_still_draws():
+    # a bool passes as an int does in arithmetic, and a Fraction compares with 0 and 1
+    assert sv.generate_instance(sv.UniformModel(2, (True,), (1,), 0.5), 1).num_candidates == 1
+    party = sv.PartyListModel((("C", ("a",), 1),), ((True, ("a",)),))
+    assert sv.generate_instance(party, 1).num_voters == 1
+    half = Fraction(1, 2)
+    assert (sv.generate_instance(sv.UniformModel(3, (2,), (1,), half), 5)
+            == sv.generate_instance(sv.UniformModel(3, (2,), (1,), 0.5), 5))
+    assert (sv.generate_instance(sv.SetCoverModel(3, 2, half, 1), 5)
+            == sv.generate_instance(sv.SetCoverModel(3, 2, 0.5, 1), 5))
 
 
 def test_set_cover_model_emits_the_encoding():

@@ -15,6 +15,16 @@ renumbered, and every committee that a search or greedy returns stays the
 same, since each breaks ties by candidate ids.  About a third of the draws
 are planted deadlocks, so refutations are permuted too, and another third
 have 65 to 100 voters, so voters move between the words of a mask.
+
+Relabelling the candidates renumbers them, in the names, the subsets and
+every ballot, and keeps the subsets in their order.  Every verdict keeps
+its answer and note, and a one-candidate witness (sw-jr, iw-jr, jr) keeps
+its subset and its number of voters; the candidate picked on a tie, and the
+weak-sw-jr tuple, may change with the ids.  Both optimum scores stay, and
+so does whether a representative committee exists.  The draws are those of
+the voter permutations, so the id-order rules (lower-id dominators,
+packing and branching order) are checked past 64 voters and on
+refutations.
 """
 
 import random
@@ -120,18 +130,31 @@ def permuted(inst, order):
         inst.num_voters, inst.candidate_names, inst.subsets, ballots))
 
 
+def relabelled(inst, perm):
+    """``inst`` with candidate c renumbered ``perm[c]``; the subsets keep
+    their order, so their ids interleave."""
+    names = [None] * inst.num_candidates
+    for c, name in enumerate(inst.candidate_names):
+        names[perm[c]] = name
+    subsets = [sv.CandidateSubset(sub.name, [perm[c] for c in sub.members], sub.quota)
+               for sub in inst.subsets]
+    ballots = [{perm[c] for c in ballot} for ballot in inst.ballots]
+    return sv.validate_instance(sv.ScvInstance(inst.num_voters, names, subsets, ballots))
+
+
 @st.composite
-def permutation_draws(draw):
-    """An instance, a committee of it and an order of its voters, all from
-    one seed, so that a failure shrinks fast.  The instance is a seeded draw
-    of up to 12 voters, one of 65 to 100, or a planted deadlock."""
+def permutation_draws(draw, count="num_voters"):
+    """An instance, a committee of it and an order of its voters (or of
+    what ``count`` counts), all from one seed, so that a failure shrinks
+    fast.  The instance is a seeded draw of up to 12 voters, one of 65 to
+    100, or a planted deadlock."""
     rng = random.Random(draw(st.integers(0, 2**32 - 1)))
     kind = draw(st.sampled_from(["small", "wide", "planted"]))
     if kind == "planted":
         inst = planted_deadlock(rng)
     else:
         inst = random_instance(rng, 12) if kind == "small" else random_instance(rng, 100, min_voters=65)
-    order = list(range(inst.num_voters))
+    order = list(range(getattr(inst, count)))
     rng.shuffle(order)
     return inst, random_committee(rng, inst), order
 
@@ -158,3 +181,19 @@ def test_permuting_voters_keeps_every_committee_found(draw):
         assert sv.maximize(moved, variant) == sv.maximize(inst, variant), variant
     assert sv.sw_jr_exists(moved) == sv.sw_jr_exists(inst)
     assert sv.solve_greedy(moved)[0] == sv.solve_greedy(inst)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(permutation_draws("num_candidates"))
+def test_relabelling_candidates_keeps_every_verdict_score_and_existence_answer(draw):
+    inst, w, perm = draw
+    moved, w_moved = relabelled(inst, perm), [perm[c] for c in w]
+    for axiom in sv.ALL_AXIOMS:
+        want, got = sv.check_axiom(inst, w, axiom), sv.check_axiom(moved, w_moved, axiom)
+        assert (got.satisfied, got.note) == (want.satisfied, want.note), axiom
+        if want.witness is not None and axiom != sv.WEAK_SW_JR:
+            assert got.witness.subset == want.witness.subset, axiom
+            assert len(got.witness.voters) == len(want.witness.voters), axiom
+    for variant in sv.VARIANTS:
+        assert sv.maximize(moved, variant)[1] == sv.maximize(inst, variant)[1], variant
+    assert (sv.sw_jr_exists(moved) is None) == (sv.sw_jr_exists(inst) is None)
