@@ -8,12 +8,14 @@ validated, so instances can be shared freely between threads.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 import random
 import re
 import struct
 import sys
+import threading
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
@@ -647,9 +649,33 @@ def _load_json(text: str):
         raise ParseError(f"invalid JSON: number too long (over {limit} digits)") from exc
 
 
+# how many parses are inside _parsed, and whether the collector was on when
+# the first of them came in
+_pausing = [0, False]
+_pausing_lock = threading.Lock()
+
+
+def _parsed(text: str, build):
+    """``build(_load_json(text))``, its lists built and freed with the cyclic
+    collector off.  Of parses running at once, the first turns it off and the
+    last out turns it back on if it was on when the first came in."""
+    with _pausing_lock:
+        if not _pausing[0]:
+            _pausing[1] = gc.isenabled()
+            gc.disable()
+        _pausing[0] += 1
+    try:
+        return build(_load_json(text))
+    finally:
+        with _pausing_lock:
+            _pausing[0] -= 1
+            if not _pausing[0] and _pausing[1]:
+                gc.enable()
+
+
 def parse_instance(text: str) -> ScvInstance:
     """Parse the JSON instance format, validating as :func:`validate_instance`."""
-    return instance_from_document(_load_json(text))
+    return _parsed(text, instance_from_document)
 
 
 def instance_to_document(inst: ScvInstance) -> dict:
@@ -736,23 +762,21 @@ class SetCoverInstance:
     budget: int
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "collection", tuple(frozenset(s) for s in self.collection)
-        )
-
-    @classmethod
-    def of(cls, ground_size: int, collection, budget: int) -> "SetCoverInstance":
         # named in the words parsing uses for the same document
-        if not _listlike(type(collection)):
+        if not _listlike(type(self.collection)):
             raise InvalidSetCover(["set cover field 'subsets' has the wrong type"])
         sets = []
-        for idx, entry in enumerate(collection):
+        for idx, entry in enumerate(self.collection):
             try:
                 sets.append(frozenset(entry))
             except TypeError:  # not iterable, or holding an unhashable item
                 problem = f"set-cover subset {idx} must be a list of integers"
                 raise InvalidSetCover([problem]) from None
-        return validate_set_cover(cls(ground_size, tuple(sets), budget))
+        object.__setattr__(self, "collection", tuple(sets))
+
+    @classmethod
+    def of(cls, ground_size: int, collection, budget: int) -> "SetCoverInstance":
+        return validate_set_cover(cls(ground_size, collection, budget))
 
 
 def validate_set_cover(sc: SetCoverInstance) -> SetCoverInstance:
@@ -795,11 +819,11 @@ def set_cover_from_document(doc: Mapping) -> SetCoverInstance:
     for idx, s in enumerate(subsets):
         if not isinstance(s, list) or not all(map(_is_int, s)):
             raise ParseError(f"set-cover subset {idx} must be a list of integers")
-    return SetCoverInstance.of(ground, (frozenset(s) for s in subsets), budget)
+    return SetCoverInstance.of(ground, subsets, budget)
 
 
 def parse_set_cover(text: str) -> SetCoverInstance:
-    return set_cover_from_document(_load_json(text))
+    return _parsed(text, set_cover_from_document)
 
 
 def set_cover_to_document(sc: SetCoverInstance) -> dict:
@@ -859,15 +883,22 @@ class SetCoverModel:
     budget: int
 
 
-def _require_ints(model, **fields) -> None:
-    """Raise :class:`BadSpec` naming the first field, given as its value or as
-    a tuple of its counts, that holds a value that is not an int.  A bool
-    passes, as it does in arithmetic and in :func:`_is_id`."""
+def _require_ints(model, **fields) -> list:
+    """Each field, given as its value or as a tuple of its counts, read as
+    ints; :class:`BadSpec` names the first field that holds a value that is
+    not an int.  A bool passes, as it does in arithmetic and in
+    :func:`_is_id`, and is read as 0 or 1 before anything is built."""
+    read = []
     for field, values in fields.items():
-        for value in values if isinstance(values, tuple) else (values,):
+        many = isinstance(values, tuple)
+        ints = []
+        for value in values if many else (values,):
             if not isinstance(value, int):
                 raise BadSpec(f"{type(model).__name__} field {field!r} holds {value!r}, "
                               "not an integer")
+            ints.append(int(value))
+        read.append(tuple(ints) if many else ints[0])
+    return read
 
 
 def _in_unit_range(model, field: str) -> bool:
@@ -883,26 +914,24 @@ def _in_unit_range(model, field: str) -> bool:
 
 def generate_set_cover(model: SetCoverModel, seed: int) -> SetCoverInstance:
     """Random covering collection; deterministic in ``(model, seed)``."""
-    _require_ints(model, ground_size=model.ground_size, num_subsets=model.num_subsets,
-                  budget=model.budget)
-    if model.ground_size < 1 or model.num_subsets < 1:
+    ground, count, budget = _require_ints(
+        model, ground_size=model.ground_size, num_subsets=model.num_subsets, budget=model.budget)
+    if ground < 1 or count < 1:
         raise BadSpec("ground size and subset count must be positive")
     if not _in_unit_range(model, "membership_prob"):
         raise BadSpec(f"membership probability {exact_str(model.membership_prob)} outside [0, 1]")
-    if not 1 <= model.budget <= model.num_subsets:
-        raise BadSpec(
-            f"budget {exact_str(model.budget)} outside 1 .. {exact_str(model.num_subsets)}"
-        )
+    if not 1 <= budget <= count:
+        raise BadSpec(f"budget {exact_str(budget)} outside 1 .. {exact_str(count)}")
     rng = random.Random(seed)
     subsets = [
-        {e for e in range(model.ground_size) if rng.random() < model.membership_prob}
-        for _ in range(model.num_subsets)
+        {e for e in range(ground) if rng.random() < model.membership_prob}
+        for _ in range(count)
     ]
     # patch coverage so the instance is valid: every element joins some subset
-    for e in range(model.ground_size):
+    for e in range(ground):
         if not any(e in s for s in subsets):
-            subsets[rng.randrange(model.num_subsets)].add(e)
-    return SetCoverInstance.of(model.ground_size, map(frozenset, subsets), model.budget)
+            subsets[rng.randrange(count)].add(e)
+    return SetCoverInstance.of(ground, subsets, budget)
 
 
 def generate_instance(model, seed: int) -> ScvInstance:
@@ -924,39 +953,42 @@ def generate_instance(model, seed: int) -> ScvInstance:
 
 
 def _generate_uniform(model: UniformModel, seed: int) -> ScvInstance:
-    _require_ints(model, num_voters=model.num_voters, sizes=model.sizes, quotas=model.quotas)
-    if model.num_voters < 1:
-        raise BadSpec(f"need at least one voter, got {exact_str(model.num_voters)}")
-    if len(model.sizes) != len(model.quotas) or not model.sizes:
+    num_voters, sizes, quotas = _require_ints(
+        model, num_voters=model.num_voters, sizes=model.sizes, quotas=model.quotas)
+    if num_voters < 1:
+        raise BadSpec(f"need at least one voter, got {exact_str(num_voters)}")
+    if len(sizes) != len(quotas) or not sizes:
         raise BadSpec("sizes and quotas must be non-empty lists of equal length")
-    for size, quota in zip(model.sizes, model.quotas):
+    for size, quota in zip(sizes, quotas):
         if size < 1 or not 1 <= quota <= size:
             raise BadSpec(f"bad subset shape: size {exact_str(size)}, quota {exact_str(quota)}")
     if not _in_unit_range(model, "approval_prob"):
         raise BadSpec(f"approval probability {exact_str(model.approval_prob)} outside [0, 1]")
     subsets = []
     next_id = 0
-    for j, (size, quota) in enumerate(zip(model.sizes, model.quotas)):
+    for j, (size, quota) in enumerate(zip(sizes, quotas)):
         subsets.append(CandidateSubset(f"C{j + 1}", range(next_id, next_id + size), quota))
         next_id += size
     bits = [1 << c for c in range(next_id)]
     draw, prob = random.Random(seed).random, model.approval_prob
     # draws in the order they always had, voter by voter and candidates in
     # id order, so a seed draws the same instance
-    rows = [sum([bit for bit in bits if draw() < prob]) for _ in range(model.num_voters)]
-    return ScvInstance._from_rows(model.num_voters, [f"c{c}" for c in range(next_id)], subsets, rows)
+    rows = [sum([bit for bit in bits if draw() < prob]) for _ in range(num_voters)]
+    return ScvInstance._from_rows(num_voters, [f"c{c}" for c in range(next_id)], subsets, rows)
 
 
 def _generate_party_list(model: PartyListModel) -> ScvInstance:
     if not model.blocks:
         raise BadSpec("party-list model needs at least one block")
-    _require_ints(model, blocks=tuple(count for count, _ in model.blocks))
+    quotas, counts = _require_ints(model, subsets=tuple(q for _, _, q in model.subsets),
+                                   blocks=tuple(count for count, _ in model.blocks))
     ballots: list[tuple[str, ...]] = []
-    for count, approved in model.blocks:
+    for count, (_, approved) in zip(counts, model.blocks):
         if count < 1:
             raise BadSpec(f"block size must be positive, got {exact_str(count)}")
         ballots.extend([approved] * count)
+    subsets = [(name, members, q) for (name, members, _), q in zip(model.subsets, quotas)]
     try:
-        return ScvInstance.from_names(len(ballots), model.subsets, ballots)
+        return ScvInstance.from_names(len(ballots), subsets, ballots)
     except SemanticError as exc:
         raise BadSpec(str(exc)) from exc

@@ -1,11 +1,13 @@
 """Instance validation, JSON round trips, committees, and generators."""
 
+import gc
 import hashlib
 import json
 import math
 import random
 import sys
 import tempfile
+import threading
 from decimal import Decimal
 from fractions import Fraction
 from pathlib import Path
@@ -545,6 +547,17 @@ def test_a_mistyped_set_cover_names_its_fields_as_its_document_does(ground, subs
         sv.parse_set_cover(doc)
 
 
+@pytest.mark.parametrize("subsets, problem", [
+    ([5], "set-cover subset 0 must be a list of integers"),
+    (5, "set cover field 'subsets' has the wrong type"),
+    ("ab", "set cover field 'subsets' has the wrong type"),
+], ids=["int-subset", "int-collection", "string-collection"])
+def test_a_directly_built_set_cover_reads_its_collection_as_of_does(subsets, problem):
+    with pytest.raises(sv.InvalidSetCover) as excinfo:
+        sv.SetCoverInstance(1, subsets, 1)
+    assert excinfo.value.problems == [problem]
+
+
 def test_committee_problems_keep_their_messages_and_order():
     rng = random.Random(8)
     for _ in range(200):
@@ -691,6 +704,120 @@ def test_long_id_lists_are_cut_after_ten_with_their_count():
         "ballot 0 references unknown candidate ids "
         "[-11, -10, -9, -8, -7, -6, -5, -4, -3, -2] and 1 more (11 in all)",
     ]
+
+
+def collections_started(call) -> int:
+    """How many collections of the cyclic garbage collector ``call()``
+    starts, counted from just after a full collection."""
+    starts = []
+
+    def note(phase, info):
+        if phase == "start":
+            starts.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(note)
+    try:
+        call()
+    finally:
+        gc.callbacks.remove(note)
+    return len(starts)
+
+
+@pytest.mark.parametrize("parse, text", [
+    (sv.parse_instance, lambda: sv.serialize_instance(
+        sv.generate_instance(sv.UniformModel(5000, (20, 20, 20), (3, 3, 3), 0.15), 1))),
+    (sv.parse_set_cover, lambda: sv.serialize_set_cover(
+        sv.generate_set_cover(sv.SetCoverModel(10, 2000, 0.3, 5), 1))),
+], ids=["instance-of-5000-ballots", "set-cover-of-2000-subsets"])
+def test_parsing_a_large_document_starts_no_collection(parse, text):
+    text = text()
+    assert gc.isenabled()
+    # the same lists built with the collector on set off several collections
+    assert collections_started(lambda: json.loads(text)) > 0
+    assert collections_started(lambda: parse(text)) == 0
+
+
+def test_a_parse_begun_while_another_pauses_the_collector_leaves_it_on(monkeypatch):
+    # thread "second" starts its parse while "first" has the collector off,
+    # and "first" ends before "second" does.  A check of the collector's state
+    # made in "second" waits until "first" is done, so a parse that read the
+    # state and only then turned the collector off would leave it off.
+    text = one_subset_document(1, ["x"])
+    want = sv.parse_instance(text)
+    first_inside, second_inside, first_done = (threading.Event() for _ in range(3))
+    real_isenabled, real_build = gc.isenabled, core.instance_from_document
+
+    def isenabled():
+        state = real_isenabled()
+        if threading.current_thread().name == "second":
+            second_inside.set()
+            first_done.wait(10)
+        return state
+
+    def build(doc):
+        if threading.current_thread().name == "first":
+            first_inside.set()
+            second_inside.wait(10)
+        else:
+            second_inside.set()
+            first_done.wait(10)
+        return real_build(doc)
+
+    results = []
+
+    def first():
+        results.append(sv.parse_instance(text) == want)
+        first_done.set()
+
+    def second():
+        first_inside.wait(10)
+        results.append(sv.parse_instance(text) == want)
+
+    monkeypatch.setattr(core.gc, "isenabled", isenabled)
+    monkeypatch.setattr(core, "instance_from_document", build)
+    threads = [threading.Thread(target=first, name="first"),
+               threading.Thread(target=second, name="second")]
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=30)
+        assert not any(thread.is_alive() for thread in threads)
+        assert results == [True, True]
+        assert real_isenabled()
+    finally:
+        gc.enable()
+
+
+def one_subset_document(quota, ballot):
+    return json.dumps({"voters": 1, "subsets": [{"name": "C1", "candidates": ["x"], "quota": quota}],
+                       "ballots": [ballot]})
+
+
+@pytest.mark.parametrize("parse, text, error", [
+    (sv.parse_instance, one_subset_document(1, ["x"]), None),
+    (sv.parse_instance, "{", sv.ParseError),
+    (sv.parse_instance, '{"voters": "1", "subsets": [], "ballots": []}', sv.ParseError),
+    (sv.parse_instance, one_subset_document(1, ["ghost"]), sv.SemanticError),
+    (sv.parse_instance, one_subset_document(0, ["x"]), sv.SemanticError),
+    (sv.parse_set_cover, '{"ground": 1, "subsets": [[0]], "budget": 1}', None),
+    (sv.parse_set_cover, "{", sv.ParseError),
+], ids=["instance", "broken-json", "string-voters", "undeclared-name", "quota-0", "set-cover",
+        "broken-set-cover"])
+@pytest.mark.parametrize("was_on", [True, False], ids=["collector-on", "collector-off"])
+def test_a_parse_leaves_the_collector_as_it_found_it(parse, text, error, was_on):
+    if not was_on:
+        gc.disable()
+    try:
+        if error is None:
+            parse(text)
+        else:
+            with pytest.raises(error):
+                parse(text)
+        assert gc.isenabled() is was_on
+    finally:
+        gc.enable()
 
 
 # -- parse diagnostics ---------------------------------------------------------
@@ -1168,9 +1295,12 @@ def test_bad_generator_specs_name_their_cause(model, message):
     (sv.SetCoverModel(3, 2.0, 0.5, 1), "num_subsets"),
     (sv.SetCoverModel(3, 2, "x", 1), "membership_prob"),
     (sv.SetCoverModel(3, 2, 0.5, 1.5), "budget"),
+    (sv.PartyListModel((("C", ("a",), 1.0),), ((1, ("a",)),)), "subsets"),
+    (sv.PartyListModel((("C", ("a",), "1"),), ((1, ("a",)),)), "subsets"),
 ], ids=["float-voters", "string-voters", "float-size", "string-size", "float-quota",
         "string-probability", "string-block", "float-block", "string-ground", "float-ground",
-        "float-subsets", "string-membership", "float-budget"])
+        "float-subsets", "string-membership", "float-budget", "float-party-quota",
+        "string-party-quota"])
 def test_a_mistyped_generator_model_names_its_field(model, field):
     # checked before anything is drawn, in the dataclass's own field names
     with pytest.raises(sv.BadSpec, match=f"^{type(model).__name__} field '{field}' holds "):
@@ -1187,6 +1317,19 @@ def test_a_bool_count_or_a_fraction_probability_still_draws():
             == sv.generate_instance(sv.UniformModel(3, (2,), (1,), 0.5), 5))
     assert (sv.generate_instance(sv.SetCoverModel(3, 2, half, 1), 5)
             == sv.generate_instance(sv.SetCoverModel(3, 2, 0.5, 1), 5))
+    # a bool count, quota, voter count, ground size or budget is read as 1
+    # before anything is built, so it draws what the model with 1 draws
+    for with_bool, with_one in [
+        (sv.UniformModel(True, (2,), (1,), 0.5), sv.UniformModel(1, (2,), (1,), 0.5)),
+        (sv.UniformModel(2, (2,), (True,), 0.5), sv.UniformModel(2, (2,), (1,), 0.5)),
+        (sv.SetCoverModel(3, 2, 0.5, True), sv.SetCoverModel(3, 2, 0.5, 1)),
+        (sv.SetCoverModel(True, 2, 0.5, 1), sv.SetCoverModel(1, 2, 0.5, 1)),
+        (sv.PartyListModel((("C", ("a",), True),), ((1, ("a",)),)),
+         sv.PartyListModel((("C", ("a",), 1),), ((1, ("a",)),))),
+    ]:
+        assert sv.generate_instance(with_bool, 1) == sv.generate_instance(with_one, 1), with_bool
+    assert (sv.generate_set_cover(sv.SetCoverModel(3, 2, 0.5, True), 1)
+            == sv.generate_set_cover(sv.SetCoverModel(3, 2, 0.5, 1), 1))
 
 
 def test_set_cover_model_emits_the_encoding():

@@ -25,6 +25,15 @@ so does whether a representative committee exists.  The draws are those of
 the voter permutations, so the id-order rules (lower-id dominators,
 packing and branching order) are checked past 64 voters and on
 refutations.
+
+Reordering the subsets keeps every id, name and ballot, and moves each
+subset with its members and quota.  Every verdict keeps its answer and
+note, and sw-jr and jr, which never read the partition, keep their whole
+verdict.  An iw-jr witness may name another subset, since the first
+failing subset is reported, but the one it names is still a violation in
+the original order.  Both optima and the least representative committee
+stay the same, since their ties break by candidate ids.  Greedy is not
+compared: its rounds within a subset follow the subset order.
 """
 
 import random
@@ -197,3 +206,36 @@ def test_relabelling_candidates_keeps_every_verdict_score_and_existence_answer(d
     for variant in sv.VARIANTS:
         assert sv.maximize(moved, variant)[1] == sv.maximize(inst, variant)[1], variant
     assert (sv.sw_jr_exists(moved) is None) == (sv.sw_jr_exists(inst) is None)
+
+
+def reordered(inst, order):
+    """``inst`` with subset j moved to position ``order[j]``; every id, name
+    and ballot stays."""
+    subsets = [None] * inst.num_subsets
+    for j, sub in zip(order, inst.subsets):
+        subsets[j] = sub
+    return sv.validate_instance(sv.ScvInstance(
+        inst.num_voters, inst.candidate_names, subsets, inst.ballots))
+
+
+@settings(max_examples=300, deadline=None)
+@given(permutation_draws("num_subsets"))
+def test_reordering_subsets_keeps_every_verdict_optimum_and_existence_answer(draw):
+    inst, w, order = draw
+    moved = reordered(inst, order)
+    for axiom in sv.ALL_AXIOMS:
+        want, got = sv.check_axiom(inst, w, axiom), sv.check_axiom(moved, w, axiom)
+        assert (got.satisfied, got.note) == (want.satisfied, want.note), axiom
+        if axiom in (sv.SW_JR, sv.JR):
+            assert got == want, axiom
+    witness = sv.check_iw_jr(moved, w).witness
+    if witness is not None:
+        sub = inst.subsets[order.index(witness.subset)]
+        (c,) = witness.candidates
+        assert c in sub.members
+        assert all(c in inst.ballots[i] and not inst.ballots[i] & w.members & set(sub.members)
+                   for i in witness.voters)
+        assert len(witness.voters) * sub.quota >= inst.num_voters
+    for variant in sv.VARIANTS:
+        assert sv.maximize(moved, variant) == sv.maximize(inst, variant), variant
+    assert sv.sw_jr_exists(moved) == sv.sw_jr_exists(inst)
