@@ -19,8 +19,10 @@ import threading
 from array import array
 from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
-from functools import cached_property
+from decimal import Decimal
+from functools import cache, cached_property
 from itertools import chain, combinations, compress, count, product, repeat
+from numbers import Real
 from typing import Optional
 
 from .errors import (
@@ -185,31 +187,29 @@ class ScvInstance:
         global candidate ids are assigned in declaration order, and a name
         repeated within one ballot counts once.  Raises
         :class:`SemanticError` for duplicate or unknown names and the
-        :class:`InvalidInstance` family for structural violations.
+        :class:`InvalidInstance` family for structural violations, the
+        mistyped fields first and alone, as a parse reports them.
         """
+        # an iterator of names is read once, before it is typed
+        subsets = [(n, list(c) if isinstance(c, Iterator) else c, q) for n, c, q in subsets]
+        problems = _instance_problems(num_voters, subsets)
+        if problems:
+            raise InvalidInstance(problems)
         names: list[str] = []
         built: list[CandidateSubset] = []
-        for j, (sub_name, cand_names, quota) in enumerate(subsets):
-            if isinstance(cand_names, str) or not isinstance(cand_names, Iterable):
-                raise InvalidInstance([f"subset entry {j} field 'candidates' must list strings"])
+        for sub_name, cand_names, quota in subsets:
             start = len(names)
             names += cand_names
             built.append(CandidateSubset(sub_name, range(start, len(names)), quota))
-        try:  # one pass; a repeated or an unhashable name takes the loop below
-            bit_of = {name: 1 << c for c, name in enumerate(names)}
-        except TypeError:
-            bit_of = {}
-        if len(bit_of) != len(names):
+        bit_of = {name: 1 << c for c, name in enumerate(names)}
+        if len(bit_of) != len(names):  # a name declared twice
             bit_of, owner = {}, [sub.name for sub in built for _ in sub.members]
             for c, cand in enumerate(names):
-                try:  # an unhashable name has a wrong type, which validation reports
-                    if cand in bit_of:
-                        first = owner[bit_of[cand].bit_length() - 1]
-                        raise SemanticError(
-                            f"candidate name {cand!r} declared twice (in {first!r} and {owner[c]!r})")
-                    bit_of[cand] = 1 << c
-                except TypeError:
-                    pass
+                if cand in bit_of:
+                    first = owner[bit_of[cand].bit_length() - 1]
+                    raise SemanticError(
+                        f"candidate name {cand!r} declared twice (in {first!r} and {owner[c]!r})")
+                bit_of[cand] = 1 << c
         rows = _resolve_ballots(bit_of, ballots)
         return cls._from_rows(num_voters, names, built, rows)
 
@@ -226,7 +226,7 @@ class ScvInstance:
         members 0 .. m-1 in declaration order, once each: its partition
         holds by construction and the sizes give its subset index.  Its
         callers are :meth:`from_names`, the uniform generator and
-        :func:`search.encode_set_cover`."""
+        :func:`search.encode_set_cover`, and each types the fields first."""
         inst = cls.__new__(cls)
         inst.__dict__.update(
             num_voters=num_voters,
@@ -257,6 +257,7 @@ def validate_instance(raw) -> ScvInstance:
     return _validated(raw, raw.ballots)
 
 
+@cache  # one entry per type: the two abstract-class tests cost more than the lookup
 def _listlike(kind: type) -> bool:
     """Whether values of ``kind`` are read as a list: iterable, and neither a
     string nor a mapping, which iterate over characters or keys."""
@@ -273,7 +274,7 @@ def _resolve_ballots(bit_of: Mapping[str, int], ballots) -> tuple[int, ...]:
     ballots = list(ballots)
     if not all(map(_listlike, set(map(type, ballots)))):
         i = next(i for i, b in enumerate(ballots) if not _listlike(type(b)))
-        raise InvalidInstance([f"ballot entry {i} must be a list of candidate names"])
+        raise InvalidInstance(_field_problems("ballot entry", [(i, "ballot", ballots[i])]))
     try:
         sizes = list(map(len, ballots))
     except TypeError:  # a ballot without a length, such as a generator
@@ -303,24 +304,18 @@ def _decode_rows(rows: Iterable[int]) -> tuple[frozenset[int], ...]:
 
 def _validated(inst: ScvInstance, ballots) -> ScvInstance:
     """:func:`validate_instance` on an instance with the given ballots, or,
-    with None, on one built by :meth:`ScvInstance._from_rows`: its names
-    and partition hold by construction and it has one ballot per row."""
+    with None, on one built by :meth:`ScvInstance._from_rows`: its fields
+    were typed by its caller, its names and partition hold by construction
+    and it has one ballot per row."""
     problems: list[tuple[type, str]] = []  # (class, message), in check order
     m = inst.num_candidates
 
     # the field types parsing requires, in its words, so that a valid
     # instance serializes to a document that parses back
-    wrong = [_wrong_type(inst.num_voters, int, "instance", "voters")]
-    named = all(map(isinstance, inst.candidate_names, repeat(str)))
-    for idx, sub in enumerate(inst.subsets):
-        where = f"subset entry {idx}"
-        wrong.append(_wrong_type(sub.name, str, where, "name"))
-        if not named and not all(
-            isinstance(inst.candidate_names[c], str) for c in sub.members if _is_id(c, m)
-        ):
-            wrong.append(f"{where} field 'candidates' must list strings")
-        wrong.append(_wrong_type(sub.quota, int, where, "quota"))
-    problems += [(InvalidInstance, message) for message in wrong if message]
+    if ballots is not None:
+        problems += [(InvalidInstance, message) for message in _instance_problems(inst.num_voters, [
+            (sub.name, [inst.candidate_names[c] for c in sub.members if _is_id(c, m)], sub.quota)
+            for sub in inst.subsets])]
 
     # a high surrogate then a low one is written as two escapes, which JSON
     # reads back as one character; an ASCII name has neither
@@ -354,13 +349,8 @@ def _validated(inst: ScvInstance, ballots) -> ScvInstance:
     if ballots is not None:  # see _from_rows for the instances skipped
         seen: dict[int, str] = {}
         for sub in inst.subsets:
-            members = sub.members
-            if not all(map(isinstance, members, repeat(int))):  # only int ids are compared
-                problems += [(PartitionBroken, f"subset {sub.name!r} lists out-of-range id {c!r}")
-                             for c in members if not isinstance(c, int)]
-                members = [c for c in members if isinstance(c, int)]
-            for c in members:
-                if not 0 <= c < m:
+            for c in sub.members:
+                if not _is_id(c, m):
                     problems.append((PartitionBroken,
                                      f"subset {sub.name!r} lists out-of-range id {exact_repr(c)}"))
                 elif c in seen:
@@ -403,15 +393,12 @@ class Committee:
         raises :class:`InfeasibleCommittee` unless every subset quota is met
         exactly.
         """
-        if not isinstance(members, frozenset):
-            members = members.members if isinstance(members, Committee) else list(members)
-        try:
-            members = frozenset(members)
-        except TypeError:  # an unhashable member, no candidate id, is named below
-            pass
+        members = members.members if isinstance(members, Committee) else list(members)
+        # named as listed, before a frozenset merges 0.0 into 0
         problems = [f"unknown candidate id {exact_repr(c)}" for c in members
                     if not _is_id(c, inst.num_candidates)]
         if not problems:
+            members = frozenset(members)
             index = inst.subset_index
             counts = [0] * (inst.num_subsets + 1)  # the spare slot takes ids in no subset
             for c in members:
@@ -422,7 +409,7 @@ class Committee:
                         f"subset {sub.name!r} needs exactly {sub.quota} members, got {got}"
                     )
         if problems:
-            raise InfeasibleCommittee("; ".join(problems))
+            raise InfeasibleCommittee("; ".join(dict.fromkeys(problems)))  # each once
         return cls(members)
 
     @property
@@ -583,54 +570,84 @@ def _repeats(names: Sequence) -> bool:
         return False
 
 
-def _wrong_type(value, kind, where: str, field: str) -> Optional[str]:
-    """Why ``value`` cannot be the document's ``field``, or None when it
-    has type ``kind``."""
-    if kind is int:
-        if not _is_int(value):
-            return f"{where} field {field!r} must be an integer"
-    elif not isinstance(value, kind):
-        return f"{where} field {field!r} has the wrong type"
-    return None
+def _listed(kind: str):
+    """The test of a list (see :func:`_listlike`) of values of ``kind``."""
+    return lambda value: _listlike(type(value)) and all(map(_KINDS[kind][0], value))
 
 
-def _require(doc: Mapping, field: str, kind, where: str):
-    if field not in doc:
-        raise ParseError(f"{where} is missing required field {field!r}")
-    value = doc[field]
-    problem = _wrong_type(value, kind, where, field)
-    if problem:
-        raise ParseError(problem)
-    return value
+_WRONG_TYPE = "field {field!r} has the wrong type"
+
+# every kind of field a record holds: its test, and the words that follow the
+# record's name for a value that fails it.  The fields of a list, such as the
+# ballots, are its entries, named by their index.
+_KINDS = {
+    "int": (_is_int, "field {field!r} must be an integer"),
+    "str": (str.__instancecheck__, _WRONG_TYPE),  # isinstance(value, str), in C for each name
+    "list": (lambda value: _listlike(type(value)), _WRONG_TYPE),
+    "names": (_listed("str"), "field {field!r} must list strings"),
+    "ballot": (_listed("str"), "{field} must be a list of candidate names"),
+    "set-cover entry": (_listed("int"), "{field} must be a list of integers"),
+    # a model's counts and probabilities, which a bool passes as in arithmetic
+    "count": (lambda value: isinstance(value, int), "field {field!r} holds {value!r}, not an integer"),
+    "number": (lambda value: isinstance(value, (Real, Decimal)),
+               "field {field!r} holds {value!r}, not a number"),
+}
+
+
+def _field_problems(where: str, fields: Iterable[tuple]) -> list[str]:
+    """What is wrong with one record, in the words of :data:`_KINDS`:
+    ``fields`` holds its (field, kind, value) triples, and ``where`` names
+    the record, as "subset entry 2" or "ballot entry" does."""
+    return [f"{where} {_KINDS[kind][1].format(field=field, value=value)}"
+            for field, kind, value in fields if not _KINDS[kind][0](value)]
+
+
+# the fields of a subset entry, in document order, with their kinds
+_SUBSET_FIELDS = {"name": "str", "candidates": "names", "quota": "int"}
+
+
+def _instance_problems(voters, subsets: Iterable[tuple]) -> list[str]:
+    """The field problems of a voter count and of the subsets' (name,
+    candidate names, quota) triples."""
+    problems = _field_problems("instance", [("voters", "int", voters)])
+    for idx, values in enumerate(subsets):
+        problems += _field_problems(
+            f"subset entry {idx}", zip(_SUBSET_FIELDS, _SUBSET_FIELDS.values(), values))
+    return problems
+
+
+def _require(doc: Mapping, where: str, *fields: str) -> list:
+    """The values of ``doc``'s fields named; :class:`ParseError` names the
+    first one missing."""
+    for field in fields:
+        if field not in doc:
+            raise ParseError(f"{where} is missing required field {field!r}")
+    return [doc[field] for field in fields]
 
 
 def instance_from_document(doc: Mapping) -> ScvInstance:
     """Build a validated instance from a parsed JSON document."""
     if not isinstance(doc, Mapping):
         raise ParseError("instance document must be a JSON object")
-    voters = _require(doc, "voters", int, "instance")
-    raw_subsets = _require(doc, "subsets", list, "instance")
-    raw_ballots = _require(doc, "ballots", list, "instance")
+    voters, raw_subsets, raw_ballots = _require(doc, "instance", "voters", "subsets", "ballots")
+    for problem in _field_problems("instance", [("voters", "int", voters),
+                                                ("subsets", "list", raw_subsets),
+                                                ("ballots", "list", raw_ballots)]):
+        raise ParseError(problem)
     subsets = []
     for idx, sub in enumerate(raw_subsets):
         if not isinstance(sub, Mapping):
             raise ParseError(f"subset entry {idx} must be an object")
-        where = f"subset entry {idx}"
-        name = _require(sub, "name", str, where)
-        cands = _require(sub, "candidates", list, where)
-        quota = _require(sub, "quota", int, where)
-        if not all(map(isinstance, cands, repeat(str))):
-            raise ParseError(f"{where} field 'candidates' must list strings")
-        subsets.append((name, cands, quota))
-    # only strings resolve to ids, so the name-by-name type check runs only
-    # when resolution fails; it reports a badly typed ballot before any
-    # unknown or duplicate name, as a check ahead of resolution would
+        subsets.append(_require(sub, f"subset entry {idx}", *_SUBSET_FIELDS))
+    # from_names types the subsets' fields, raising their problems alone, and
+    # only strings resolve to ids; so both are typed here only when it fails,
+    # a badly typed ballot before any unknown or duplicate name
     try:
         return ScvInstance.from_names(voters, subsets, raw_ballots)
     except (InvalidInstance, SemanticError) as exc:
-        for idx, ballot in enumerate(raw_ballots):
-            if not isinstance(ballot, list) or not all(isinstance(c, str) for c in ballot):
-                raise ParseError(f"ballot entry {idx} must be a list of candidate names") from None
+        for problem in _instance_problems(voters, subsets) + _field_problems(
+                "ballot entry", zip(count(), repeat("ballot"), raw_ballots)):
+            raise ParseError(problem) from None
         if isinstance(exc, InvalidInstance):
             raise SemanticError(str(exc), problems=exc.problems) from exc
         raise
@@ -762,17 +779,17 @@ class SetCoverInstance:
     budget: int
 
     def __post_init__(self):
-        # named in the words parsing uses for the same document
-        if not _listlike(type(self.collection)):
-            raise InvalidSetCover(["set cover field 'subsets' has the wrong type"])
-        sets = []
-        for idx, entry in enumerate(self.collection):
-            try:
-                sets.append(frozenset(entry))
-            except TypeError:  # not iterable, or holding an unhashable item
-                problem = f"set-cover subset {idx} must be a list of integers"
-                raise InvalidSetCover([problem]) from None
-        object.__setattr__(self, "collection", tuple(sets))
+        # typed as parsing types the same document, in its words, and before
+        # a frozenset merges 1.0 or True into 1; an entry is read once
+        entries = [tuple(entry) if _listlike(type(entry)) else entry
+                   for entry in (self.collection if _listlike(type(self.collection)) else ())]
+        problems = _field_problems("set cover", [
+            ("ground", "int", self.ground_size), ("subsets", "list", self.collection),
+            ("budget", "int", self.budget)])
+        problems += _field_problems("set-cover subset", zip(count(), repeat("set-cover entry"), entries))
+        if problems:
+            raise InvalidSetCover(problems)
+        object.__setattr__(self, "collection", tuple(map(frozenset, entries)))
 
     @classmethod
     def of(cls, ground_size: int, collection, budget: int) -> "SetCoverInstance":
@@ -780,13 +797,7 @@ class SetCoverInstance:
 
 
 def validate_set_cover(sc: SetCoverInstance) -> SetCoverInstance:
-    # the field types parsing requires, in its words, before any comparison
-    wrong = [_wrong_type(sc.ground_size, int, "set cover", "ground"),
-             _wrong_type(sc.budget, int, "set cover", "budget")]
-    wrong += [f"set-cover subset {idx} must be a list of integers"
-              for idx, entry in enumerate(sc.collection) if not all(map(_is_int, entry))]
-    if any(wrong):
-        raise InvalidSetCover(filter(None, wrong))
+    """Check a set cover's values; its types were checked on construction."""
     problems = []
     if sc.ground_size < 1:
         problems.append(f"ground set must be non-empty, got size {exact_str(sc.ground_size)}")
@@ -813,13 +824,12 @@ def validate_set_cover(sc: SetCoverInstance) -> SetCoverInstance:
 def set_cover_from_document(doc: Mapping) -> SetCoverInstance:
     if not isinstance(doc, Mapping):
         raise ParseError("set-cover document must be a JSON object")
-    ground = _require(doc, "ground", int, "set cover")
-    subsets = _require(doc, "subsets", list, "set cover")
-    budget = _require(doc, "budget", int, "set cover")
-    for idx, s in enumerate(subsets):
-        if not isinstance(s, list) or not all(map(_is_int, s)):
-            raise ParseError(f"set-cover subset {idx} must be a list of integers")
-    return SetCoverInstance.of(ground, subsets, budget)
+    fields = _require(doc, "set cover", "ground", "subsets", "budget")
+    try:
+        sc = SetCoverInstance(*fields)
+    except InvalidSetCover as exc:  # a mistyped field or entry
+        raise ParseError(exc.problems[0]) from None
+    return validate_set_cover(sc)
 
 
 def parse_set_cover(text: str) -> SetCoverInstance:
@@ -883,42 +893,28 @@ class SetCoverModel:
     budget: int
 
 
-def _require_ints(model, **fields) -> list:
-    """Each field, given as its value or as a tuple of its counts, read as
-    ints; :class:`BadSpec` names the first field that holds a value that is
-    not an int.  A bool passes, as it does in arithmetic and in
-    :func:`_is_id`, and is read as 0 or 1 before anything is built."""
-    read = []
-    for field, values in fields.items():
-        many = isinstance(values, tuple)
-        ints = []
-        for value in values if many else (values,):
-            if not isinstance(value, int):
-                raise BadSpec(f"{type(model).__name__} field {field!r} holds {value!r}, "
-                              "not an integer")
-            ints.append(int(value))
-        read.append(tuple(ints) if many else ints[0])
-    return read
-
-
-def _in_unit_range(model, field: str) -> bool:
-    """Whether the probability in ``field`` lies in [0, 1]; :class:`BadSpec`
-    when it cannot be compared with a number (a Fraction can)."""
-    value = getattr(model, field)
-    try:
-        return 0.0 <= value <= 1.0
-    except TypeError:
-        raise BadSpec(f"{type(model).__name__} field {field!r} holds {value!r}, "
-                      "not a number") from None
+def _read_model(model, *numbers: str, **counts) -> list:
+    """The ``counts``, each given as its value or as a tuple of its values,
+    read as ints, once they and ``model``'s fields named in ``numbers`` are
+    typed; :class:`BadSpec` names the first field that holds a value of
+    another kind.  A bool passes, as it does in arithmetic and in
+    :func:`_is_id`, and a count reads as 0 or 1 before anything is built."""
+    listed = {field: v if isinstance(v, tuple) else (v,) for field, v in counts.items()}
+    for problem in _field_problems(type(model).__name__, [
+            *[(field, "count", v) for field, values in listed.items() for v in values],
+            *[(field, "number", getattr(model, field)) for field in numbers]]):
+        raise BadSpec(problem)
+    return [tuple(map(int, values)) if isinstance(counts[field], tuple) else int(values[0])
+            for field, values in listed.items()]
 
 
 def generate_set_cover(model: SetCoverModel, seed: int) -> SetCoverInstance:
     """Random covering collection; deterministic in ``(model, seed)``."""
-    ground, count, budget = _require_ints(
-        model, ground_size=model.ground_size, num_subsets=model.num_subsets, budget=model.budget)
+    ground, count, budget = _read_model(model, "membership_prob", ground_size=model.ground_size,
+                                        num_subsets=model.num_subsets, budget=model.budget)
     if ground < 1 or count < 1:
         raise BadSpec("ground size and subset count must be positive")
-    if not _in_unit_range(model, "membership_prob"):
+    if not 0.0 <= model.membership_prob <= 1.0:
         raise BadSpec(f"membership probability {exact_str(model.membership_prob)} outside [0, 1]")
     if not 1 <= budget <= count:
         raise BadSpec(f"budget {exact_str(budget)} outside 1 .. {exact_str(count)}")
@@ -953,8 +949,8 @@ def generate_instance(model, seed: int) -> ScvInstance:
 
 
 def _generate_uniform(model: UniformModel, seed: int) -> ScvInstance:
-    num_voters, sizes, quotas = _require_ints(
-        model, num_voters=model.num_voters, sizes=model.sizes, quotas=model.quotas)
+    num_voters, sizes, quotas = _read_model(
+        model, "approval_prob", num_voters=model.num_voters, sizes=model.sizes, quotas=model.quotas)
     if num_voters < 1:
         raise BadSpec(f"need at least one voter, got {exact_str(num_voters)}")
     if len(sizes) != len(quotas) or not sizes:
@@ -962,7 +958,7 @@ def _generate_uniform(model: UniformModel, seed: int) -> ScvInstance:
     for size, quota in zip(sizes, quotas):
         if size < 1 or not 1 <= quota <= size:
             raise BadSpec(f"bad subset shape: size {exact_str(size)}, quota {exact_str(quota)}")
-    if not _in_unit_range(model, "approval_prob"):
+    if not 0.0 <= model.approval_prob <= 1.0:
         raise BadSpec(f"approval probability {exact_str(model.approval_prob)} outside [0, 1]")
     subsets = []
     next_id = 0
@@ -980,8 +976,8 @@ def _generate_uniform(model: UniformModel, seed: int) -> ScvInstance:
 def _generate_party_list(model: PartyListModel) -> ScvInstance:
     if not model.blocks:
         raise BadSpec("party-list model needs at least one block")
-    quotas, counts = _require_ints(model, subsets=tuple(q for _, _, q in model.subsets),
-                                   blocks=tuple(count for count, _ in model.blocks))
+    quotas, counts = _read_model(model, subsets=tuple(q for _, _, q in model.subsets),
+                                 blocks=tuple(count for count, _ in model.blocks))
     ballots: list[tuple[str, ...]] = []
     for count, (_, approved) in zip(counts, model.blocks):
         if count < 1:

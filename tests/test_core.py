@@ -191,10 +191,15 @@ def test_structural_violations_name_their_class_and_cause(inst, kind, problems):
             "subset entry 0 field 'candidates' must list strings",
             "subset entry 0 field 'quota' must be an integer",
         ]),
+        (2, [("C1", 5, 1)], ["subset entry 0 field 'candidates' must list strings"]),
+        (2, [("C1", "x", 1)], ["subset entry 0 field 'candidates' must list strings"]),
+        (2, [("C1", None, 1)], ["subset entry 0 field 'candidates' must list strings"]),
+        (2, [("C1", {"a": 1}, 1)], ["subset entry 0 field 'candidates' must list strings"]),
     ],
     ids=["float-voters", "true-voters", "string-voters", "true-quota", "float-quota",
          "integer-subset-name", "integer-candidate-name", "list-candidate-name",
-         "all-in-check-order"],
+         "all-in-check-order", "integer-candidates", "string-candidates", "null-candidates",
+         "mapping-candidates"],
 )
 def test_fields_parsing_rejects_fail_validation_in_its_words(voters, subsets, problems):
     with pytest.raises(sv.InvalidInstance) as excinfo:
@@ -463,6 +468,12 @@ def test_infeasible_committee_rejected():
         sv.Committee.of(inst, ["a1", 2])
     with pytest.raises(sv.InfeasibleCommittee, match=r"^unknown candidate id \[1\]$"):
         sv.Committee.of(inst, [[1], 2])  # unhashable
+    # named before a frozenset merges 0.0 into 0, and each once
+    for members in ([0, 0.0, 2], [0.0, 0, 0.0, 2]):
+        with pytest.raises(sv.InfeasibleCommittee, match=r"^unknown candidate id 0\.0$"):
+            sv.Committee.of(inst, members)
+        with pytest.raises(sv.InfeasibleCommittee, match=r"^unknown candidate id 0\.0$"):
+            sv.check_sw_jr(inst, members)
 
 
 BIG = 7 * 10**5_000  # 5,001 digits, past what str() of an int gives
@@ -534,9 +545,14 @@ def test_an_int_past_the_digit_limit_in_a_value_error_is_named_in_full(build, me
     (1, 5, 1, ["set cover field 'subsets' has the wrong type"]),
     (1, {0: 1}, 1, ["set cover field 'subsets' has the wrong type"]),
     (1, "ab", 1, ["set cover field 'subsets' has the wrong type"]),
+    (2, [[0, 1, 1.0]], 1, ["set-cover subset 0 must be a list of integers"]),
+    (2, [[1, True]], 1, ["set-cover subset 0 must be a list of integers"]),
+    ("3", 5, 1, ["set cover field 'ground' must be an integer",
+                 "set cover field 'subsets' has the wrong type"]),
 ], ids=["ground", "budget", "both", "string-element", "float-element", "bool-element",
         "int-subset", "null-subset", "nested-subset", "int-collection", "mapping-collection",
-        "string-collection"])
+        "string-collection", "float-equal-to-an-element", "bool-equal-to-an-element",
+        "ground-and-collection"])
 def test_a_mistyped_set_cover_names_its_fields_as_its_document_does(ground, subsets, budget,
                                                                      problems):
     with pytest.raises(sv.InvalidSetCover) as excinfo:
@@ -556,6 +572,28 @@ def test_a_directly_built_set_cover_reads_its_collection_as_of_does(subsets, pro
     with pytest.raises(sv.InvalidSetCover) as excinfo:
         sv.SetCoverInstance(1, subsets, 1)
     assert excinfo.value.problems == [problem]
+
+
+def test_iterators_of_names_or_elements_are_typed_and_read_once():
+    inst = sv.ScvInstance.from_names(1, [("C", iter(["a", "b"]), 1)], [["b"]])
+    assert inst.candidate_names == ("a", "b")
+    sc = sv.SetCoverInstance.of(2, (iter(entry) for entry in [[0, 1], [1]]), 1)
+    assert sc.collection == (frozenset({0, 1}), frozenset({1}))
+    with pytest.raises(sv.InvalidSetCover) as excinfo:
+        sv.SetCoverInstance.of(2, [iter([0, 1.0])], 1)
+    assert excinfo.value.problems == ["set-cover subset 0 must be a list of integers"]
+
+
+FIELD_PHRASES = ["must be an integer", "has the wrong type", "must list strings",
+                 "must be a list of integers", "must be a list of candidate names",
+                 "not an integer"]
+
+
+@pytest.mark.parametrize("phrase", FIELD_PHRASES)
+def test_each_field_message_is_written_once(phrase):
+    # core._KINDS words every field type, so a second check site shows here
+    sources = [path.read_text(encoding="utf-8") for path in Path(core.__file__).parent.glob("*.py")]
+    assert sum(text.count(phrase) for text in sources) == 1
 
 
 def test_committee_problems_keep_their_messages_and_order():
@@ -671,6 +709,21 @@ def test_json_past_the_decoder_limits_is_a_parse_error(parse, text):
 def test_malformed_set_cover_is_a_parse_error(text, message):
     with pytest.raises(sv.ParseError) as excinfo:
         sv.parse_set_cover(text)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("parse, doc, message", [
+    (sv.parse_instance, {"voters": "1", "subsets": []}, "instance is missing required field 'ballots'"),
+    (sv.parse_instance, {"voters": 1, "ballots": [[]], "subsets": [
+        {"name": 5, "candidates": ["a"], "quota": 1}, {"name": "B"}]},
+     "subset entry 1 is missing required field 'candidates'"),
+    (sv.parse_instance, {"voters": 1, "ballots": [[]], "subsets": [
+        {"name": 5, "candidates": ["a"], "quota": 1}, 7]}, "subset entry 1 must be an object"),
+    (sv.parse_set_cover, {"ground": "3", "subsets": [[0]]}, "set cover is missing required field 'budget'"),
+], ids=["instance", "subset-entry", "subset-not-an-object", "set-cover"])
+def test_a_missing_field_is_named_before_a_mistyped_one(parse, doc, message):
+    with pytest.raises(sv.ParseError) as excinfo:
+        parse(json.dumps(doc))
     assert str(excinfo.value) == message
 
 
@@ -1297,10 +1350,12 @@ def test_bad_generator_specs_name_their_cause(model, message):
     (sv.SetCoverModel(3, 2, 0.5, 1.5), "budget"),
     (sv.PartyListModel((("C", ("a",), 1.0),), ((1, ("a",)),)), "subsets"),
     (sv.PartyListModel((("C", ("a",), "1"),), ((1, ("a",)),)), "subsets"),
+    (sv.UniformModel(2, (2,), (1,), 0.5j), "approval_prob"),
+    (sv.UniformModel(0, (2,), (1,), None), "approval_prob"),
 ], ids=["float-voters", "string-voters", "float-size", "string-size", "float-quota",
         "string-probability", "string-block", "float-block", "string-ground", "float-ground",
         "float-subsets", "string-membership", "float-budget", "float-party-quota",
-        "string-party-quota"])
+        "string-party-quota", "complex-probability", "null-probability-and-no-voters"])
 def test_a_mistyped_generator_model_names_its_field(model, field):
     # checked before anything is drawn, in the dataclass's own field names
     with pytest.raises(sv.BadSpec, match=f"^{type(model).__name__} field '{field}' holds "):
@@ -1330,6 +1385,14 @@ def test_a_bool_count_or_a_fraction_probability_still_draws():
         assert sv.generate_instance(with_bool, 1) == sv.generate_instance(with_one, 1), with_bool
     assert (sv.generate_set_cover(sv.SetCoverModel(3, 2, 0.5, True), 1)
             == sv.generate_set_cover(sv.SetCoverModel(3, 2, 0.5, 1), 1))
+
+
+def test_a_decimal_probability_draws_as_its_float_does():
+    half = Decimal("0.5")
+    assert (sv.generate_instance(sv.UniformModel(3, (2,), (1,), half), 5)
+            == sv.generate_instance(sv.UniformModel(3, (2,), (1,), 0.5), 5))
+    assert (sv.generate_set_cover(sv.SetCoverModel(3, 2, half, 1), 5)
+            == sv.generate_set_cover(sv.SetCoverModel(3, 2, 0.5, 1), 5))
 
 
 def test_set_cover_model_emits_the_encoding():
