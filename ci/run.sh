@@ -2,14 +2,15 @@
 # The offline steps of the CI workflow, one per call, so that a local run
 # runs the commands the workflow runs.
 # Usage: sh ci/run.sh STEP [SCRATCH_DIR [PYTHON]], from the root of the
-# repository. STEP is lines, tier1, bench-tests, smoke, second-seed, or all
-# (each of those in turn); smoke and second-seed write their output to
-# SCRATCH_DIR, which the other steps may leave empty, and PYTHON (default:
-# python) runs every command.
-# Not here: the install step, which fetches its build backend, and the
-# console-script step, ci/console.sh, which needs the installed entry point.
+# repository. STEP is lines, tier1, console, bench-tests, smoke,
+# second-seed, or all (each of those in turn); console, smoke and
+# second-seed write their files to SCRATCH_DIR, which the other steps may
+# leave empty, and PYTHON (default: python) runs every command.
+# Not here: the install step, which fetches its build backend. The console
+# step runs ci/console.sh through a shim for the entry point, so it needs
+# no install; the workflow runs the same checks on the installed one.
 set -e
-usage="usage: sh ci/run.sh lines|tier1|bench-tests|smoke|second-seed|all [SCRATCH_DIR [PYTHON]]"
+usage="usage: sh ci/run.sh lines|tier1|console|bench-tests|smoke|second-seed|all [SCRATCH_DIR [PYTHON]]"
 step=${1:?$usage}
 tmp=${2:-}
 py=${3:-python}
@@ -27,6 +28,15 @@ tier1)
     # turns on the interpreter's debug checks, such as warnings for files
     # never closed (the benchmark steps run without it)
     PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} "$py" -X dev -m pytest -q --continue-on-collection-errors --durations=10
+    ;;
+console)
+    : "${tmp:?$usage}"
+    # an `scvoting` on PATH that runs the package as `python -m scvoting`,
+    # which calls the entry point's function, cli.main
+    mkdir -p "$tmp/bin"
+    printf '#!/bin/sh\nexec "%s" -m scvoting "$@"\n' "$py" > "$tmp/bin/scvoting"
+    chmod +x "$tmp/bin/scvoting"
+    PATH="$tmp/bin:$PATH" PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} sh ci/console.sh "$tmp"
     ;;
 bench-tests)
     "$py" -m pytest -q perfbench/tests
@@ -56,7 +66,7 @@ second-seed)
     done
     ;;
 all)
-    for each in lines tier1 bench-tests smoke second-seed; do
+    for each in lines tier1 console bench-tests smoke second-seed; do
         echo "== $each"
         sh "$0" "$each" "$tmp" "$py"
     done

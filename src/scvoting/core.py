@@ -21,7 +21,7 @@ from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from decimal import Decimal
 from functools import cache, cached_property
-from itertools import chain, combinations, compress, count, product, repeat
+from itertools import combinations, compress, count, product, repeat
 from numbers import Real
 from typing import Optional
 
@@ -72,7 +72,8 @@ class ScvInstance:
     ``i``; an instance resolved from names holds :attr:`ballot_rows` and
     decodes ``ballots`` from them when first read.  Use
     :func:`validate_instance` (or the ``from_names`` / ``parse_instance``
-    factories, which call it) before handing an instance to any solver.
+    factories, which call it) before handing an instance to any solver; it
+    stores ``subset_index``, each id's subset, which an unvalidated one lacks.
     """
 
     num_voters: int
@@ -102,16 +103,6 @@ class ScvInstance:
     @property
     def committee_size(self) -> int:
         return sum(s.quota for s in self.subsets)
-
-    @cached_property
-    def subset_index(self) -> tuple[int, ...]:
-        """Subset index of every candidate id (valid on validated instances)."""
-        idx = [-1] * self.num_candidates
-        for j, sub in enumerate(self.subsets):
-            for c in sub.members:
-                if 0 <= c < self.num_candidates:
-                    idx[c] = j
-        return tuple(idx)
 
     @cached_property
     def ballot_rows(self) -> tuple[int, ...]:
@@ -196,14 +187,14 @@ class ScvInstance:
         if problems:
             raise InvalidInstance(problems)
         names: list[str] = []
-        built: list[CandidateSubset] = []
+        shape: list[tuple[str, int, int]] = []
         for sub_name, cand_names, quota in subsets:
             start = len(names)
             names += cand_names
-            built.append(CandidateSubset(sub_name, range(start, len(names)), quota))
+            shape.append((sub_name, len(names) - start, quota))
         bit_of = {name: 1 << c for c, name in enumerate(names)}
         if len(bit_of) != len(names):  # a name declared twice
-            bit_of, owner = {}, [sub.name for sub in built for _ in sub.members]
+            bit_of, owner = {}, [sub_name for sub_name, size, _ in shape for _ in range(size)]
             for c, cand in enumerate(names):
                 if cand in bit_of:
                     first = owner[bit_of[cand].bit_length() - 1]
@@ -211,29 +202,34 @@ class ScvInstance:
                         f"candidate name {cand!r} declared twice (in {first!r} and {owner[c]!r})")
                 bit_of[cand] = 1 << c
         rows = _resolve_ballots(bit_of, ballots)
-        return cls._from_rows(num_voters, names, built, rows)
+        return cls._from_rows(num_voters, names, shape, rows)
 
     @classmethod
     def _from_rows(
         cls,
         num_voters: int,
         names: Sequence[str],
-        subsets: Sequence[CandidateSubset],
+        shape: Iterable[tuple[str, int, int]],
         rows: Sequence[int],
     ) -> "ScvInstance":
         """Build and validate an instance whose :attr:`ballot_rows` are
-        ``rows``, whose names are distinct and whose subsets number their
-        members 0 .. m-1 in declaration order, once each: its partition
-        holds by construction and the sizes give its subset index.  Its
-        callers are :meth:`from_names`, the uniform generator and
+        ``rows``, whose names are distinct, and whose subsets are laid out
+        from their (name, size, quota) ``shape``: each takes the next
+        ``size`` ids in declaration order, so the partition holds by
+        construction and the subset index is written with it.  Its callers
+        are :meth:`from_names`, the uniform generator and
         :func:`search.encode_set_cover`, and each types the fields first."""
+        subsets, index = [], []
+        for j, (name, size, quota) in enumerate(shape):
+            subsets.append(CandidateSubset(name, range(len(index), len(index) + size), quota))
+            index += [j] * size
         inst = cls.__new__(cls)
         inst.__dict__.update(
             num_voters=num_voters,
             candidate_names=tuple(names),
             subsets=tuple(subsets),
             ballot_rows=tuple(rows),
-            subset_index=tuple(chain.from_iterable([j] * s.size for j, s in enumerate(subsets))),
+            subset_index=tuple(index),
         )
         return _validated(inst, None)
 
@@ -262,6 +258,11 @@ def _listlike(kind: type) -> bool:
     """Whether values of ``kind`` are read as a list: iterable, and neither a
     string nor a mapping, which iterate over characters or keys."""
     return issubclass(kind, Iterable) and not issubclass(kind, (str, Mapping))
+
+
+def _tupled(value):
+    """``value`` as a tuple when it reads as a list (:func:`_listlike`), else as it is."""
+    return tuple(value) if _listlike(type(value)) else value
 
 
 def _resolve_ballots(bit_of: Mapping[str, int], ballots) -> tuple[int, ...]:
@@ -306,7 +307,9 @@ def _validated(inst: ScvInstance, ballots) -> ScvInstance:
     """:func:`validate_instance` on an instance with the given ballots, or,
     with None, on one built by :meth:`ScvInstance._from_rows`: its fields
     were typed by its caller, its names and partition hold by construction
-    and it has one ballot per row."""
+    and it has one ballot per row.  The partition check of an instance
+    built from ids records the subset of each id it passes, and a valid
+    instance keeps that record as its ``subset_index``."""
     problems: list[tuple[type, str]] = []  # (class, message), in check order
     m = inst.num_candidates
 
@@ -347,18 +350,18 @@ def _validated(inst: ScvInstance, ballots) -> ScvInstance:
         problems.append((InvalidInstance, "subset names are not unique"))
 
     if ballots is not None:  # see _from_rows for the instances skipped
-        seen: dict[int, str] = {}
-        for sub in inst.subsets:
+        index = [-1] * m  # the subset of each id, -1 until one lists it
+        for j, sub in enumerate(inst.subsets):
             for c in sub.members:
                 if not _is_id(c, m):
                     problems.append((PartitionBroken,
                                      f"subset {sub.name!r} lists out-of-range id {exact_repr(c)}"))
-                elif c in seen:
-                    problems.append((PartitionBroken,
-                                     f"candidate id {c} appears in both {seen[c]!r} and {sub.name!r}"))
+                elif index[c] >= 0:
+                    problems.append((PartitionBroken, f"candidate id {c} appears in both "
+                                                      f"{subset_names[index[c]]!r} and {sub.name!r}"))
                 else:
-                    seen[c] = sub.name
-        missing = [c for c in range(m) if c not in seen]
+                    index[c] = j
+        missing = [c for c, j in enumerate(index) if j < 0]
         if missing:
             problems.append((PartitionBroken, f"candidate ids {_id_list(missing)} belong to no subset"))
 
@@ -373,6 +376,8 @@ def _validated(inst: ScvInstance, ballots) -> ScvInstance:
 
     if problems:
         raise problems[0][0]([message for _, message in problems])
+    if ballots is not None:
+        inst.__dict__["subset_index"] = tuple(index)
     return inst
 
 
@@ -400,7 +405,7 @@ class Committee:
         if not problems:
             members = frozenset(members)
             index = inst.subset_index
-            counts = [0] * (inst.num_subsets + 1)  # the spare slot takes ids in no subset
+            counts = [0] * inst.num_subsets
             for c in members:
                 counts[index[c]] += 1
             for sub, got in zip(inst.subsets, counts):
@@ -781,8 +786,7 @@ class SetCoverInstance:
     def __post_init__(self):
         # typed as parsing types the same document, in its words, and before
         # a frozenset merges 1.0 or True into 1; an entry is read once
-        entries = [tuple(entry) if _listlike(type(entry)) else entry
-                   for entry in (self.collection if _listlike(type(self.collection)) else ())]
+        entries = list(map(_tupled, self.collection if _listlike(type(self.collection)) else ()))
         problems = _field_problems("set cover", [
             ("ground", "int", self.ground_size), ("subsets", "list", self.collection),
             ("budget", "int", self.budget)])
@@ -873,14 +877,9 @@ class PartyListModel:
     blocks: tuple[tuple[int, tuple[str, ...]], ...]
 
     def __post_init__(self):
-        object.__setattr__(
-            self,
-            "subsets",
-            tuple((n, tuple(c), q) for n, c, q in self.subsets),
-        )
-        object.__setattr__(
-            self, "blocks", tuple((cnt, tuple(b)) for cnt, b in self.blocks)
-        )
+        # names are read from a list only, as parsing reads them (see _generate_party_list)
+        object.__setattr__(self, "subsets", tuple((n, _tupled(c), q) for n, c, q in self.subsets))
+        object.__setattr__(self, "blocks", tuple((cnt, _tupled(b)) for cnt, b in self.blocks))
 
 
 @dataclass(frozen=True)
@@ -960,22 +959,22 @@ def _generate_uniform(model: UniformModel, seed: int) -> ScvInstance:
             raise BadSpec(f"bad subset shape: size {exact_str(size)}, quota {exact_str(quota)}")
     if not 0.0 <= model.approval_prob <= 1.0:
         raise BadSpec(f"approval probability {exact_str(model.approval_prob)} outside [0, 1]")
-    subsets = []
-    next_id = 0
-    for j, (size, quota) in enumerate(zip(sizes, quotas)):
-        subsets.append(CandidateSubset(f"C{j + 1}", range(next_id, next_id + size), quota))
-        next_id += size
-    bits = [1 << c for c in range(next_id)]
+    shape = [(f"C{j + 1}", size, quota) for j, (size, quota) in enumerate(zip(sizes, quotas))]
+    bits = [1 << c for c in range(sum(sizes))]
     draw, prob = random.Random(seed).random, model.approval_prob
     # draws in the order they always had, voter by voter and candidates in
     # id order, so a seed draws the same instance
     rows = [sum([bit for bit in bits if draw() < prob]) for _ in range(num_voters)]
-    return ScvInstance._from_rows(num_voters, [f"c{c}" for c in range(next_id)], subsets, rows)
+    return ScvInstance._from_rows(num_voters, [f"c{c}" for c in range(len(bits))], shape, rows)
 
 
 def _generate_party_list(model: PartyListModel) -> ScvInstance:
     if not model.blocks:
         raise BadSpec("party-list model needs at least one block")
+    for problem in _field_problems(type(model).__name__, [
+            *[("subsets", "names", members) for _, members, _ in model.subsets],
+            *[("blocks", "names", approved) for _, approved in model.blocks]]):
+        raise BadSpec(problem)
     quotas, counts = _read_model(model, subsets=tuple(q for _, _, q in model.subsets),
                                  blocks=tuple(count for count, _ in model.blocks))
     ballots: list[tuple[str, ...]] = []

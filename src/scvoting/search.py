@@ -80,7 +80,6 @@ from operator import and_, or_
 from typing import Optional
 
 from .core import (
-    CandidateSubset,
     Committee,
     ScvInstance,
     SetCoverInstance,
@@ -272,8 +271,7 @@ def encode_set_cover(sc: SetCoverInstance) -> ScvInstance:
         for i in entry:
             rows[i] |= 1 << n + j
     names = [f"a{i + 1}" for i in range(n)] + [f"s{j + 1}" for j in range(t)]
-    subsets = [CandidateSubset("C1", range(n), n), CandidateSubset("C2", range(n, n + t), sc.budget)]
-    return ScvInstance._from_rows(n, names, subsets, rows)
+    return ScvInstance._from_rows(n, names, [("C1", n, n), ("C2", t, sc.budget)], rows)
 
 
 def decode_committee_to_cover(sc: SetCoverInstance, committee) -> frozenset[int]:

@@ -13,7 +13,7 @@ import pytest
 
 import scvoting as sv
 from scvoting import axioms, fixtures
-from scvoting.cli import run
+from scvoting.cli import main, run
 from scvoting.core import to_json_text
 
 
@@ -321,6 +321,30 @@ def test_module_entry_point_prints_help():
     )
     assert result.returncode == 0
     assert result.stdout.startswith("usage: scvoting")
+
+
+@pytest.mark.parametrize("argv, usage", [(["--help"], "usage: scvoting"),
+                                         (["solve", "--help"], "usage: scvoting solve")])
+def test_help_returns_0_and_prints_usage(argv, usage, capsys):
+    assert run(argv) == 0
+    assert capsys.readouterr().out.startswith(usage)
+
+
+@pytest.mark.parametrize("path, code", [(None, 0), ("/no/such/file.json", 2)], ids=["ok", "missing"])
+def test_main_exits_with_the_code_run_returns(monkeypatch, deadlock_file, path, code):
+    monkeypatch.setattr(sys, "argv", ["scvoting", "validate", path or deadlock_file])
+    with pytest.raises(SystemExit) as excinfo:
+        main()
+    assert excinfo.value.code == code
+
+
+@pytest.mark.parametrize("module", ["scvoting", "scvoting.cli"])
+def test_module_entry_points_validate_a_file(module, deadlock_file):
+    # the child inherits this process's PYTHONPATH and working directory
+    result = subprocess.run([sys.executable, "-m", module, "validate", deadlock_file],
+                            capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.startswith("ok:")
 
 
 def test_gen_bad_spec_is_invalid_input(capsys):

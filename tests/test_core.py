@@ -1278,6 +1278,27 @@ def test_constructed_instances_number_their_members_in_declaration_order(kind, d
     assert inst.__dict__["subset_index"] == by_ids.subset_index
 
 
+def test_an_instance_built_from_ids_gets_its_subset_index_from_validation():
+    # interleaved members: the partition check records each id's subset as it passes it
+    inst = sv.ScvInstance(1, ("a", "b", "c", "d"),
+                          [sv.CandidateSubset("S0", (2, 0), 1), sv.CandidateSubset("S1", (3, 1), 1)],
+                          [frozenset({0})])
+    assert not hasattr(inst, "subset_index")
+    assert sv.validate_instance(inst) is inst
+    assert inst.subset_index == (0, 1, 0, 1)
+    assert sv.Committee.of(inst, {0, 1}).members == {0, 1}
+    with pytest.raises(sv.InfeasibleCommittee) as excinfo:
+        sv.Committee.of(inst, {0, 2})
+    assert str(excinfo.value) == ("subset 'S0' needs exactly 1 members, got 2; "
+                                  "subset 'S1' needs exactly 1 members, got 0")
+    broken = sv.ScvInstance(1, ("a", "b"),
+                            [sv.CandidateSubset("S0", (0, 1), 1), sv.CandidateSubset("S1", (1,), 1)],
+                            [frozenset()])
+    with pytest.raises(sv.PartitionBroken):
+        sv.validate_instance(broken)
+    assert not hasattr(broken, "subset_index")
+
+
 def test_generated_instances_always_validate():
     rng = random.Random(42)
     for _ in range(50):
@@ -1324,9 +1345,18 @@ def test_bad_generator_specs():
         (sv.PartyListModel((("C", ("x",), 1),), ()), "party-list model needs at least one block"),
         (sv.PartyListModel((("C", ("x",), 1),), ((1, ("ghost",)),)),
          "ballot 0 approves undeclared candidate 'ghost'"),
+        (sv.PartyListModel((("C", "ab", 1),), ((1, ("a",)),)),
+         "PartyListModel field 'subsets' must list strings"),
+        (sv.PartyListModel((("C", ("a", "b"), 1),), ((1, "ab"),)),
+         "PartyListModel field 'blocks' must list strings"),
+        (sv.PartyListModel((("C", 5, 1),), ((1, ("a",)),)),
+         "PartyListModel field 'subsets' must list strings"),
+        (sv.PartyListModel((("C", ("a",), 1),), ((1, None),)),
+         "PartyListModel field 'blocks' must list strings"),
     ],
     ids=["no-ground", "no-subsets", "probability-over-1", "negative-probability",
-         "budget-0", "budget-over-subsets", "no-blocks", "undeclared-block-candidate"],
+         "budget-0", "budget-over-subsets", "no-blocks", "undeclared-block-candidate",
+         "string-candidates", "string-block-ballot", "int-candidates", "null-block-ballot"],
 )
 def test_bad_generator_specs_name_their_cause(model, message):
     with pytest.raises(sv.BadSpec) as excinfo:
