@@ -2,15 +2,15 @@
 # The offline steps of the CI workflow, one per call, so that a local run
 # runs the commands the workflow runs.
 # Usage: sh ci/run.sh STEP [SCRATCH_DIR [PYTHON]], from the root of the
-# repository. STEP is lines, tier1, console, bench-tests, smoke,
-# second-seed, or all (each of those in turn); console, smoke and
+# repository. STEP is lines, tier1, console, mutants, bench-tests, smoke,
+# second-seed, or all (each of those in turn); console, mutants, smoke and
 # second-seed write their files to SCRATCH_DIR, which the other steps may
 # leave empty, and PYTHON (default: python) runs every command.
 # Not here: the install step, which fetches its build backend. The console
 # step runs ci/console.sh through a shim for the entry point, so it needs
 # no install; the workflow runs the same checks on the installed one.
 set -e
-usage="usage: sh ci/run.sh lines|tier1|console|bench-tests|smoke|second-seed|all [SCRATCH_DIR [PYTHON]]"
+usage="usage: sh ci/run.sh lines|tier1|console|mutants|bench-tests|smoke|second-seed|all [SCRATCH_DIR [PYTHON]]"
 step=${1:?$usage}
 tmp=${2:-}
 py=${3:-python}
@@ -37,6 +37,12 @@ console)
     printf '#!/bin/sh\nexec "%s" -m scvoting "$@"\n' "$py" > "$tmp/bin/scvoting"
     chmod +x "$tmp/bin/scvoting"
     PATH="$tmp/bin:$PATH" PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} sh ci/console.sh "$tmp"
+    ;;
+mutants)
+    : "${tmp:?$usage}"
+    # every kept mutant of a fast path must fail the tests it names; each
+    # runs on its own copy of src/ and tests/ under SCRATCH_DIR
+    TMPDIR="$tmp" "$py" mutants/run.py
     ;;
 bench-tests)
     "$py" -m pytest -q perfbench/tests
@@ -66,7 +72,7 @@ second-seed)
     done
     ;;
 all)
-    for each in lines tier1 console bench-tests smoke second-seed; do
+    for each in lines tier1 console mutants bench-tests smoke second-seed; do
         echo "== $each"
         sh "$0" "$each" "$tmp" "$py"
     done

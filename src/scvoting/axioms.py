@@ -42,11 +42,10 @@ from .core import (
     CandidateSubset,
     Committee,
     ScvInstance,
-    _ballot_problems,
     best_supported,
     validate_instance,
 )
-from .errors import BadBallot, TooLarge, exact_str
+from .errors import TooLarge, exact_str
 
 JR = "jr"
 SW_JR = "sw-jr"
@@ -268,11 +267,7 @@ def jr_embedding(
     ballots: Iterable[Iterable[int]], k: int, num_candidates: int
 ) -> ScvInstance:
     """One-subset instance over candidates ``0 .. num_candidates-1``."""
-    ballots = [list(b) for b in ballots]
-    try:
-        ballots = tuple(map(frozenset, ballots))
-    except TypeError:  # an unhashable entry is no id: name it as validation does
-        raise BadBallot(_ballot_problems(ballots, num_candidates)) from None
+    ballots = list(ballots)
     inst = ScvInstance(
         num_voters=len(ballots),
         candidate_names=tuple(f"c{c}" for c in range(num_candidates)),

@@ -84,7 +84,9 @@ class ScvInstance:
     def __post_init__(self):
         object.__setattr__(self, "candidate_names", tuple(self.candidate_names))
         object.__setattr__(self, "subsets", tuple(self.subsets))
-        object.__setattr__(self, "ballots", tuple(map(frozenset, self.ballots)))
+        # a ballot of ints is frozen, any other kept for validation to name (0.0 is no 0)
+        object.__setattr__(self, "ballots", tuple(
+            frozenset(b) if all(map(int.__instancecheck__, b)) else b for b in map(tuple, self.ballots)))
 
     # -- derived quantities -------------------------------------------------
 
@@ -277,24 +279,19 @@ def _resolve_ballots(bit_of: Mapping[str, int], ballots) -> tuple[int, ...]:
         i = next(i for i, b in enumerate(ballots) if not _listlike(type(b)))
         raise InvalidInstance(_field_problems("ballot entry", [(i, "ballot", ballots[i])]))
     try:
-        sizes = list(map(len, ballots))
-    except TypeError:  # a ballot without a length, such as a generator
-        ballots = list(map(list, ballots))
-        sizes = list(map(len, ballots))
-    try:
+        total = sum(map(len, ballots))
         rows = list(map(sum, map(map, repeat(bit_of.__getitem__), ballots)))
-    except (KeyError, TypeError):  # an undeclared or an unhashable name
-        for i, ballot in enumerate(ballots):
-            for name in ballot:
-                try:
-                    bit_of[name]
-                except (KeyError, TypeError):
-                    raise SemanticError(
-                        f"ballot {i} approves undeclared candidate {name!r}") from None
-    # a sum of distinct bits has one bit per term: fewer means a repeated name
-    if list(map(int.bit_count, rows)) != sizes:
-        for i in compress(range(len(rows)), map(int.__ne__, map(int.bit_count, rows), sizes)):
-            rows[i] = sum(map(bit_of.__getitem__, set(ballots[i])))
+        if sum(map(int.bit_count, rows)) == total:  # else some sum carried: a repeated name
+            return tuple(rows)  # from a list: tuple(map(...)) here made repeated parses' RSS climb
+    except (KeyError, TypeError):  # a ballot without a length, an undeclared or an unhashable name
+        pass
+    rows = [0] * len(ballots)  # name by name: ORing counts a repeated name once
+    for i, ballot in enumerate(ballots):
+        for name in ballot:
+            try:
+                rows[i] |= bit_of[name]
+            except (KeyError, TypeError):
+                raise SemanticError(f"ballot {i} approves undeclared candidate {name!r}") from None
     return tuple(rows)
 
 
@@ -370,8 +367,9 @@ def _validated(inst: ScvInstance, ballots) -> ScvInstance:
             problems.append((QuotaInfeasible, f"subset {sub.name!r} has quota {exact_repr(sub.quota)}, "
                                               f"needs 1 <= quota <= {sub.size}"))
 
-    # test the distinct approved ids first; walk the ballots only to name them
-    if ballots is not None and not all(_is_id(c, m) for c in frozenset().union(*ballots)):
+    # test the distinct ids of frozen ballots first; walk the ballots only to name them
+    if ballots is not None and not (all(map(frozenset.__instancecheck__, ballots))
+                                    and all(_is_id(c, m) for c in frozenset().union(*ballots))):
         problems += [(BadBallot, message) for message in _ballot_problems(ballots, m)]
 
     if problems:
@@ -582,6 +580,14 @@ def _listed(kind: str):
 
 _WRONG_TYPE = "field {field!r} has the wrong type"
 
+
+def _records(width: int):
+    """The test of a model's list of records as its constructor reads one:
+    a tuple of tuples of ``width`` values."""
+    return lambda value: isinstance(value, tuple) and all(
+        isinstance(record, tuple) and len(record) == width for record in value)
+
+
 # every kind of field a record holds: its test, and the words that follow the
 # record's name for a value that fails it.  The fields of a list, such as the
 # ballots, are its entries, named by their index.
@@ -596,6 +602,9 @@ _KINDS = {
     "count": (lambda value: isinstance(value, int), "field {field!r} holds {value!r}, not an integer"),
     "number": (lambda value: isinstance(value, (Real, Decimal)),
                "field {field!r} holds {value!r}, not a number"),
+    # a model's lists of subsets and of blocks, as its constructor reads them
+    "subset records": (_records(3), _WRONG_TYPE),
+    "block records": (_records(2), _WRONG_TYPE),
 }
 
 
@@ -865,8 +874,9 @@ class UniformModel:
     approval_prob: float
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(self.sizes))
-        object.__setattr__(self, "quotas", tuple(self.quotas))
+        # a field is read only as a list, and checked when a draw reads it
+        object.__setattr__(self, "sizes", _tupled(self.sizes))
+        object.__setattr__(self, "quotas", _tupled(self.quotas))
 
 
 @dataclass(frozen=True)
@@ -877,9 +887,10 @@ class PartyListModel:
     blocks: tuple[tuple[int, tuple[str, ...]], ...]
 
     def __post_init__(self):
-        # names are read from a list only, as parsing reads them (see _generate_party_list)
-        object.__setattr__(self, "subsets", tuple((n, _tupled(c), q) for n, c, q in self.subsets))
-        object.__setattr__(self, "blocks", tuple((cnt, _tupled(b)) for cnt, b in self.blocks))
+        # a field is read only as a list of records of its width, and names
+        # from a list only, as parsing reads them (see _generate_party_list)
+        object.__setattr__(self, "subsets", _read_records(self.subsets, "subset records"))
+        object.__setattr__(self, "blocks", _read_records(self.blocks, "block records"))
 
 
 @dataclass(frozen=True)
@@ -890,6 +901,14 @@ class SetCoverModel:
     num_subsets: int
     membership_prob: float
     budget: int
+
+
+def _read_records(field, kind: str):
+    """A model's ``field`` read as a list of records (:func:`_tupled`), and
+    the names in each, its second value, read the same way, when the
+    records pass ``kind``; else as the list read, or as it is."""
+    records = tuple(map(_tupled, field)) if _listlike(type(field)) else field
+    return tuple((r[0], _tupled(r[1]), *r[2:]) for r in records) if _KINDS[kind][0](records) else records
 
 
 def _read_model(model, *numbers: str, **counts) -> list:
@@ -948,6 +967,9 @@ def generate_instance(model, seed: int) -> ScvInstance:
 
 
 def _generate_uniform(model: UniformModel, seed: int) -> ScvInstance:
+    for problem in _field_problems(type(model).__name__, [
+            ("sizes", "list", model.sizes), ("quotas", "list", model.quotas)]):
+        raise BadSpec(problem)
     num_voters, sizes, quotas = _read_model(
         model, "approval_prob", num_voters=model.num_voters, sizes=model.sizes, quotas=model.quotas)
     if num_voters < 1:
@@ -969,9 +991,13 @@ def _generate_uniform(model: UniformModel, seed: int) -> ScvInstance:
 
 
 def _generate_party_list(model: PartyListModel) -> ScvInstance:
+    for problem in _field_problems(type(model).__name__, [
+            ("subsets", "subset records", model.subsets), ("blocks", "block records", model.blocks)]):
+        raise BadSpec(problem)
     if not model.blocks:
         raise BadSpec("party-list model needs at least one block")
     for problem in _field_problems(type(model).__name__, [
+            *[("subsets", "str", name) for name, _, _ in model.subsets],
             *[("subsets", "names", members) for _, members, _ in model.subsets],
             *[("blocks", "names", approved) for _, approved in model.blocks]]):
         raise BadSpec(problem)
@@ -985,5 +1011,5 @@ def _generate_party_list(model: PartyListModel) -> ScvInstance:
     subsets = [(name, members, q) for (name, members, _), q in zip(model.subsets, quotas)]
     try:
         return ScvInstance.from_names(len(ballots), subsets, ballots)
-    except SemanticError as exc:
+    except (InvalidInstance, SemanticError) as exc:  # such as a quota of 0 or a name twice
         raise BadSpec(str(exc)) from exc

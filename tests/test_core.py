@@ -150,6 +150,12 @@ def _programmatic(names, subsets):
          sv.BadBallot, ["ballot 0 references unknown candidate ids [0.0]"]),
         (sv.ScvInstance(1, ("x",), [sv.CandidateSubset("C1", (0,), 1)], [frozenset({"0", 4, 0})]),
          sv.BadBallot, ["ballot 0 references unknown candidate ids [4, '0']"]),
+        (sv.ScvInstance(1, ("x",), [sv.CandidateSubset("C1", (0,), 1)], [[0, 0.0]]),
+         sv.BadBallot, ["ballot 0 references unknown candidate ids [0.0]"]),
+        (sv.ScvInstance(1, ("x",), [sv.CandidateSubset("C1", (0,), 1)], [[0, [1]]]),
+         sv.BadBallot, ["ballot 0 references unknown candidate ids [[1]]"]),
+        (sv.ScvInstance(1, ("x",), [sv.CandidateSubset("C1", (0,), 1)], [[0, "x"]]),
+         sv.BadBallot, ["ballot 0 references unknown candidate ids ['x']"]),
         (_programmatic((["x"], ["x"]), [("C1", (0, 1), 1)]), sv.InvalidInstance,
          ["subset entry 0 field 'candidates' must list strings"]),
         (_programmatic(("x", "y"), [(["C1"], (0,), 1), (["C1"], (1,), 1)]), sv.InvalidInstance,
@@ -164,7 +170,8 @@ def _programmatic(names, subsets):
     ],
     ids=["no-subsets", "duplicate-candidate-names", "duplicate-subset-names", "out-of-range-id",
          "too-few-ballots", "float-member-id", "string-member-id", "float-ballot-id",
-         "string-ballot-id", "list-candidate-name", "list-subset-name",
+         "string-ballot-id", "float-beside-its-int-ballot-id", "unhashable-ballot-id",
+         "string-beside-an-int-ballot-id", "list-candidate-name", "list-subset-name",
          "surrogate-pair-candidate-name", "surrogate-pair-subset-name"],
 )
 def test_structural_violations_name_their_class_and_cause(inst, kind, problems):
@@ -259,6 +266,24 @@ def test_an_undeclared_or_unhashable_ballot_entry_is_named(entry, shown):
     with pytest.raises(sv.SemanticError) as excinfo:
         sv.ScvInstance.from_names(2, [("C1", ["x"], 1)], [["x"], ["x", entry]])
     assert str(excinfo.value) == f"ballot 1 approves undeclared candidate {shown}"
+
+
+@pytest.mark.parametrize(
+    "ballots, message",
+    [
+        ([["x", "x"], ["y"], ["ghost"]], "ballot 2 approves undeclared candidate 'ghost'"),
+        ([["x"], iter(["y", ["x"]])], "ballot 1 approves undeclared candidate ['x']"),
+        ((iter(b) for b in [["x", "x"], [], ["y", "ghost", "ghost"]]),
+         "ballot 2 approves undeclared candidate 'ghost'"),
+    ],
+    ids=["repeat-then-undeclared", "unhashable-in-an-iterator", "iterators-repeat-then-undeclared"],
+)
+def test_a_ballot_read_name_by_name_names_the_first_bad_entry(ballots, message):
+    # a repeated name or a ballot without a length sends every ballot
+    # through the name-by-name pass, which names the same entry
+    with pytest.raises(sv.SemanticError) as excinfo:
+        sv.ScvInstance.from_names(3, [("C1", ["x", "y"], 1)], ballots)
+    assert str(excinfo.value) == message
 
 
 @pytest.mark.parametrize(
@@ -1353,10 +1378,24 @@ def test_bad_generator_specs():
          "PartyListModel field 'subsets' must list strings"),
         (sv.PartyListModel((("C", ("a",), 1),), ((1, None),)),
          "PartyListModel field 'blocks' must list strings"),
+        (sv.PartyListModel(((5, ("a",), 1),), ((1, ("a",)),)),
+         "PartyListModel field 'subsets' has the wrong type"),
+        (sv.PartyListModel((("C", ("a",), 0),), ((1, ("a",)),)),
+         "subset 'C' has quota 0, needs 1 <= quota <= 1"),
+        (sv.PartyListModel((("C", ("a",), 1), ("C", ("b",), 1)), ((1, ("a",)),)),
+         "subset names are not unique"),
+        (sv.PartyListModel((("C", ("a",)),), ((1, ("a",)),)),
+         "PartyListModel field 'subsets' has the wrong type"),
+        (sv.PartyListModel(5, ((1, ("a",)),)), "PartyListModel field 'subsets' has the wrong type"),
+        (sv.PartyListModel((("C", ("a",), 1),), (5,)), "PartyListModel field 'blocks' has the wrong type"),
+        (sv.UniformModel(2, 5, (1,), 0.5), "UniformModel field 'sizes' has the wrong type"),
+        (sv.UniformModel(2, (2,), 5, 0.5), "UniformModel field 'quotas' has the wrong type"),
     ],
     ids=["no-ground", "no-subsets", "probability-over-1", "negative-probability",
          "budget-0", "budget-over-subsets", "no-blocks", "undeclared-block-candidate",
-         "string-candidates", "string-block-ballot", "int-candidates", "null-block-ballot"],
+         "string-candidates", "string-block-ballot", "int-candidates", "null-block-ballot",
+         "int-subset-name", "quota-0", "repeated-subset-name", "short-subset", "int-subsets",
+         "int-block", "int-sizes", "int-quotas"],
 )
 def test_bad_generator_specs_name_their_cause(model, message):
     with pytest.raises(sv.BadSpec) as excinfo:
