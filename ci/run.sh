@@ -40,8 +40,8 @@ console)
     ;;
 mutants)
     : "${tmp:?$usage}"
-    # every kept mutant of a fast path must fail the tests it names; each
-    # runs on its own copy of src/ and tests/ under SCRATCH_DIR
+    # every kept mutant of a fast path must fail the tests it names, which
+    # first pass on an unmutated copy of src/ and tests/ under SCRATCH_DIR
     TMPDIR="$tmp" "$py" mutants/run.py
     ;;
 bench-tests)

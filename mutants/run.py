@@ -1,21 +1,24 @@
 """Apply each kept mutant to a copy of the library and check that its tests catch it.
 
-    python mutants/run.py [NAME ...]
+    python mutants/run.py
 
-Run from any directory; with names, only those mutants run.  Each mutant
-is one edit of one file under ``src/scvoting``: an exact source text, which
-must occur there exactly once, and its replacement.  The runner copies
-``src/``, ``tests/`` and ``pyproject.toml`` into a temporary directory
-(``tempfile``'s, so ``TMPDIR`` places it), makes the edit there and runs the
-mutant's tests with hypothesis seed 1:
+Run from any directory.  Each mutant is one edit of one file under
+``src/scvoting``: an exact source text, which must occur there exactly once,
+and its replacement.  The runner copies ``src/``, ``tests/`` and
+``pyproject.toml`` into a temporary directory (``tempfile``'s, so ``TMPDIR``
+places it) and there runs every mutant's tests with hypothesis seed 1:
 
     python -m pytest -q -x -p no:cacheprovider --hypothesis-seed=1 TEST_ID ...
 
+First all of them on the unmutated copy, which must pass (exit 0), or no
+result below could tell a caught mutant from a broken copy; then, for each
+mutant in turn, the mutant's own tests with its edit made and undone after.
 Exit 1 (a test failed) counts as caught, exit 0 as missed, and anything
 else, a collection error or a run past ``TIMEOUT_S`` included, as an error.
 One line per mutant gives its name, its result and its seconds; the runner
-exits 1 on any miss or error, and stops at once, with exit 2, when a text
-does not occur exactly once or a name is unknown.  Nothing in the working tree changes.
+exits 1 on any miss or error, and stops at once, with exit 2, when the
+unmutated run fails or a text does not occur exactly once.  Nothing in the
+working tree changes.
 """
 
 from __future__ import annotations
@@ -77,45 +80,58 @@ def stop(message: str):
     sys.exit(2)
 
 
-def run_mutant(name: str, file: str, text: str, replacement: str, tests: list[str]) -> str:
-    """``caught``, ``missed`` or ``error``: the mutant's tests run on a mutated copy."""
-    with tempfile.TemporaryDirectory(prefix="scvoting-mutant-") as tmp:
-        for part in ("src", "tests"):
-            shutil.copytree(ROOT / part, Path(tmp, part), ignore=shutil.ignore_patterns("__pycache__"))
-        shutil.copy2(ROOT / "pyproject.toml", tmp)
-        target = Path(tmp, file)
-        source = target.read_text(encoding="utf-8")
-        if source.count(text) != 1:
-            stop(f"mutant {name}: {text!r} occurs {source.count(text)} times in {file}, not once")
-        target.write_text(source.replace(text, replacement), encoding="utf-8")
-        path = os.pathsep.join(filter(None, [str(Path(tmp, "src")), os.environ.get("PYTHONPATH")]))
-        command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-                   "--hypothesis-seed=1", *tests]
-        try:
-            done = subprocess.run(command, cwd=tmp, env=dict(os.environ, PYTHONPATH=path),
-                                  stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-                                  timeout=TIMEOUT_S)
-        except subprocess.TimeoutExpired:
-            return "error"
+def run_tests(copy: str, tests: list[str]) -> subprocess.CompletedProcess | None:
+    """The named tests run in ``copy``; None when they outrun ``TIMEOUT_S``."""
+    # no bytecode is written, so an edit that keeps a file's size and
+    # timestamp cannot be run from a stale cached module
+    env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [str(Path(copy, "src")),
+                                                        os.environ.get("PYTHONPATH")])))
+    command = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+               "--hypothesis-seed=1", *tests]
+    try:
+        return subprocess.run(command, cwd=copy, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.STDOUT, text=True, timeout=TIMEOUT_S)
+    except subprocess.TimeoutExpired:
+        return None
+
+
+def run_mutant(copy: str, name: str, file: str, text: str, replacement: str,
+               tests: list[str]) -> str:
+    """``caught``, ``missed`` or ``error``: the mutant's tests run with its edit made."""
+    target = Path(copy, file)
+    source = target.read_text(encoding="utf-8")
+    if source.count(text) != 1:
+        stop(f"mutant {name}: {text!r} occurs {source.count(text)} times in {file}, not once")
+    target.write_text(source.replace(text, replacement), encoding="utf-8")
+    try:
+        done = run_tests(copy, tests)
+    finally:
+        target.write_text(source, encoding="utf-8")
+    if done is None:
+        return "error"
     if done.returncode not in (0, 1):
         print(done.stdout[-2000:], end="")
     return {1: "caught", 0: "missed"}.get(done.returncode, "error")
 
 
-def main(names: list[str]) -> int:
-    unknown = set(names) - {mutant[0] for mutant in MUTANTS}
-    if unknown:
-        stop(f"unknown mutants: {', '.join(sorted(unknown))}")
-    failed = 0
-    for mutant in MUTANTS:
-        if names and mutant[0] not in names:
-            continue
-        start = time.perf_counter()
-        result = run_mutant(*mutant)
-        print(f"{mutant[0]:<28} {result:<6} {time.perf_counter() - start:5.1f} s", flush=True)
-        failed += result != "caught"
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="scvoting-mutants-") as copy:
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, Path(copy, part), ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", copy)
+        clean = run_tests(copy, list(dict.fromkeys(t for mutant in MUTANTS for t in mutant[4])))
+        if clean is None or clean.returncode != 0:
+            stop((clean.stdout[-2000:] if clean else "")
+                 + "the mutants' tests do not pass on the unmutated copy")
+        failed = 0
+        for mutant in MUTANTS:
+            start = time.perf_counter()
+            result = run_mutant(copy, *mutant)
+            print(f"{mutant[0]:<28} {result:<6} {time.perf_counter() - start:5.1f} s", flush=True)
+            failed += result != "caught"
     return 1 if failed else 0
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

@@ -557,8 +557,8 @@ def _is_id(value, m: int) -> bool:
 
 
 def _ballot_problems(ballots: Iterable[Iterable], m: int) -> list[str]:
-    """A message per ballot naming its entries that are no id of m candidates."""
-    bad = [sorted((c for c in b if not _is_id(c, m)),
+    """A message per ballot naming, once each, its entries that are no id of m candidates."""
+    bad = [sorted({exact_repr(c): c for c in b if not _is_id(c, m)}.values(),
                   key=lambda c: (0, c) if isinstance(c, int) else (1, repr(c))) for b in ballots]
     return [f"ballot {i} references unknown candidate ids {_id_list(ids)}"
             for i, ids in enumerate(bad) if ids]

@@ -179,8 +179,10 @@ def test_jr_wrapper_examples():
         ([{0.5}], ["ballot 0 references unknown candidate ids [0.5]"]),
         ([[[1]]], ["ballot 0 references unknown candidate ids [[1]]"]),
         ([[0, 0.0]], ["ballot 0 references unknown candidate ids [0.0]"]),
+        ([[0.5, 0.5]], ["ballot 0 references unknown candidate ids [0.5]"]),
     ],
-    ids=["negative-id", "string-id", "float-id", "unhashable-id", "float-beside-its-int-id"],
+    ids=["negative-id", "string-id", "float-id", "unhashable-id", "float-beside-its-int-id",
+         "repeated-float-id"],
 )
 def test_jr_wrapper_names_a_bad_ballot_id(ballots, problems):
     # only the int ids size the candidate pool, so any other id is named

@@ -156,6 +156,8 @@ def _programmatic(names, subsets):
          sv.BadBallot, ["ballot 0 references unknown candidate ids [[1]]"]),
         (sv.ScvInstance(1, ("x",), [sv.CandidateSubset("C1", (0,), 1)], [[0, "x"]]),
          sv.BadBallot, ["ballot 0 references unknown candidate ids ['x']"]),
+        (sv.ScvInstance(1, ("x",), [sv.CandidateSubset("C1", (0,), 1)], [[0.5, [1], 0.5, [1]]]),
+         sv.BadBallot, ["ballot 0 references unknown candidate ids [0.5, [1]]"]),
         (_programmatic((["x"], ["x"]), [("C1", (0, 1), 1)]), sv.InvalidInstance,
          ["subset entry 0 field 'candidates' must list strings"]),
         (_programmatic(("x", "y"), [(["C1"], (0,), 1), (["C1"], (1,), 1)]), sv.InvalidInstance,
@@ -171,7 +173,7 @@ def _programmatic(names, subsets):
     ids=["no-subsets", "duplicate-candidate-names", "duplicate-subset-names", "out-of-range-id",
          "too-few-ballots", "float-member-id", "string-member-id", "float-ballot-id",
          "string-ballot-id", "float-beside-its-int-ballot-id", "unhashable-ballot-id",
-         "string-beside-an-int-ballot-id", "list-candidate-name", "list-subset-name",
+         "string-beside-an-int-ballot-id", "repeated-bad-ballot-ids", "list-candidate-name", "list-subset-name",
          "surrogate-pair-candidate-name", "surrogate-pair-subset-name"],
 )
 def test_structural_violations_name_their_class_and_cause(inst, kind, problems):
