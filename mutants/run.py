@@ -58,6 +58,10 @@ MUTANTS = [
      "if most < size - t + 1:", "if most < size - t + 1 + (t >= 2):",
      ["tests/test_search.py::test_search_matches_enumeration_on_planted_deadlocks",
       "tests/test_metamorphic.py::test_cloning_keeps_the_existence_answer_on_planted_deadlocks"]),
+    # the t >= 2 child cut one voter eager
+    ("eager-t2-child-cut", "src/scvoting/search.py",
+     "+ drops[j] >= bound:", "+ drops[j] >= bound - (t >= 2):",
+     ["tests/test_search.py::test_search_matches_enumeration_on_planted_deadlocks"]),
     # the last parse out turns the collector on even when it was off
     ("collector-always-reenabled", "src/scvoting/core.py",
      "if not _pausing[0] and _pausing[1]:", "if not _pausing[0]:",
@@ -72,6 +76,46 @@ MUTANTS = [
     ("every-ballot-frozen", "src/scvoting/core.py",
      "frozenset(b) if all(map(int.__instancecheck__, b)) else b for b", "frozenset(b) for b",
      ["tests/test_axioms.py::test_jr_wrapper_names_a_bad_ballot_id"]),
+    # validation writes the rows of an instance built from ids one bit off
+    ("id-rows-one-bit-off", "src/scvoting/core.py",
+     "sum(map((1).__lshift__, b))", "sum(map((2).__lshift__, b))",
+     ["tests/test_core.py::test_validation_writes_the_rows_and_masks_of_an_instance_built_from_ids"]),
+    # a party-list model reads its records but leaves the names in them unread
+    ("model-names-unread", "src/scvoting/core.py",
+     "tuple(map(_tupled, r)) if _listlike(type(r)) else r", "_tupled(r)",
+     ["tests/test_core.py::test_a_party_list_model_reads_its_records_and_names_once"]),
+    # of candidates tied on support, the last one wins
+    ("last-maximum-wins", "src/scvoting/core.py",
+     "if count > best_count:", "if count >= best_count:",
+     ["tests/test_axioms.py::test_tied_support_breaks_to_lowest_id"]),
+    # supporters exactly at n/k fall short of the size threshold
+    ("size-threshold-strict", "src/scvoting/core.py",
+     "best_count * quota < inst.num_voters", "best_count * quota <= inst.num_voters",
+     ["tests/test_acceptance.py::test_criterion_1_unsatisfiable_span_wide_fixture"]),
+    # the transpose drops column 63 of every word column
+    ("lost-column-63", "src/scvoting/core.py",
+     "min(64, width - 64 * w)", "min(63, width - 64 * w)",
+     ["tests/test_axioms.py::test_weak_check_walks_thousands_of_subsets"]),
+    # the transpose makes five of its six delta swaps
+    ("dropped-swap", "src/scvoting/core.py",
+     "for j in (32, 16, 8, 4, 2, 1))", "for j in (32, 16, 8, 4, 2))",
+     ["tests/test_core.py::test_a_one_block_transpose_reads_the_columns_of_two_blocks"]),
+    # the swap masks are tiled one block short
+    ("tiled-one-block-short", "src/scvoting/core.py",
+     "(blocks - copies)) - 1", "(blocks - copies - 1)) - 1",
+     ["tests/test_core.py::test_rows_and_masks_match_a_naive_resolver[1-2100]"]),
+    # a count plane ORs in the carry instead of adding it
+    ("count-plane-carry-or", "src/scvoting/pav.py",
+     "plane ^ carry, plane & carry", "plane | carry, plane & carry",
+     ["tests/test_acceptance.py::test_criterion_4_diversity_scoring_fixture"]),
+    # voters moving up to a count already held are never merged into that class
+    ("dropped-merge", "src/scvoting/pav.py",
+     "voters |= up", "pass",
+     ["tests/test_acceptance.py::test_criterion_4_diversity_scoring_fixture"]),
+    # the capacity test cuts a node whose completions can still represent the group
+    ("capacity-test-eager", "src/scvoting/search.py",
+     "if most < size - t + 1:", "if most <= size - t + 1:",
+     ["tests/test_acceptance.py::test_criterion_3_score_eight_rivalry_fixture"]),
 ]
 
 

@@ -22,7 +22,7 @@ four by enumerating all voter groups and is the testing oracle for the fast
 checkers.
 
 The fast checkers count support on voter bitmasks
-(:attr:`ScvInstance.approver_masks`, cached per instance): the unrepresented
+(``ScvInstance.approver_masks``, written on validation): the unrepresented
 voters are everyone outside the union of the members' approver masks, and
 :func:`~scvoting.core.best_supported` returns the candidate most of them
 approve, only when those supporters reach the size threshold.  The weak-sw-jr
@@ -42,10 +42,11 @@ from .core import (
     CandidateSubset,
     Committee,
     ScvInstance,
+    _field_problems,
     best_supported,
     validate_instance,
 )
-from .errors import TooLarge, exact_str
+from .errors import InvalidInstance, TooLarge, exact_str
 
 JR = "jr"
 SW_JR = "sw-jr"
@@ -241,7 +242,8 @@ def check_jr(
     approvers, never the partition, so it is jr relabelled.  The committee
     is still validated against that instance's quotas.  With an instance,
     ``k`` must be its committee size and ``num_candidates`` ``None`` or its
-    candidate count, else :class:`ValueError`.
+    candidate count, else :class:`ValueError`.  With raw ballots, a ``k``
+    or ``num_candidates`` that is no int raises :class:`InvalidInstance`.
     """
     if isinstance(ballots, ScvInstance):
         inst = ballots
@@ -258,6 +260,10 @@ def check_jr(
         if num_candidates is None:
             num_candidates = max((c for b in (committee, *ballots) for c in b
                                   if isinstance(c, int)), default=-1) + 1
+        problems = _field_problems("check_jr", [("k", "int", k),
+                                                ("num_candidates", "int", num_candidates)])
+        if problems:
+            raise InvalidInstance(problems)
         inst = jr_embedding(ballots, k, num_candidates)
     verdict = check_sw_jr(inst, committee)
     return AxiomVerdict(JR, verdict.satisfied, verdict.witness, verdict.note)

@@ -69,11 +69,13 @@ class ScvInstance:
     Voters are ``0 .. num_voters-1``; candidates carry global ids
     ``0 .. num_candidates-1`` plus a display name per id.  ``subsets`` is the
     ordered candidate partition and ``ballots[i]`` the approval set of voter
-    ``i``; an instance resolved from names holds :attr:`ballot_rows` and
-    decodes ``ballots`` from them when first read.  Use
-    :func:`validate_instance` (or the ``from_names`` / ``parse_instance``
-    factories, which call it) before handing an instance to any solver; it
-    stores ``subset_index``, each id's subset, which an unvalidated one lacks.
+    ``i``; an instance resolved from names holds ``ballot_rows`` and decodes
+    ``ballots`` from them when first read.  Use :func:`validate_instance` (or
+    the ``from_names`` / ``parse_instance`` factories, which call it) before
+    handing an instance to any solver: it writes what they read, and an
+    unvalidated instance lacks, ``subset_index`` (each id's subset),
+    ``ballot_rows`` (bit c of row i set when voter i approves c) and
+    ``approver_masks`` (bit i of mask c set likewise: the rows' transpose).
     """
 
     num_voters: int
@@ -105,26 +107,6 @@ class ScvInstance:
     @property
     def committee_size(self) -> int:
         return sum(s.quota for s in self.subsets)
-
-    @cached_property
-    def ballot_rows(self) -> tuple[int, ...]:
-        """Approvals of every voter as a candidate bitmask.
-
-        Bit c of ``ballot_rows[i]`` is set when voter i approves c.  An
-        instance resolved from names is built with these rows; one built
-        from ids derives them from its ballots.
-        """
-        return tuple(sum(map((1).__lshift__, ballot)) for ballot in self.ballots)
-
-    @cached_property
-    def approver_masks(self) -> tuple[int, ...]:
-        """Approvers of every candidate id as a voter bitmask.
-
-        Bit i of ``approver_masks[c]`` is set when voter i approves c: the
-        masks are the bit transpose of :attr:`ballot_rows`, built by
-        :func:`_transpose` without a loop over the approvals.
-        """
-        return _transpose(self.ballot_rows, self.num_candidates)
 
     def __getattr__(self, name):
         # reached only for attributes the instance lacks: an instance resolved
@@ -183,8 +165,10 @@ class ScvInstance:
         :class:`InvalidInstance` family for structural violations, the
         mistyped fields first and alone, as a parse reports them.
         """
-        # an iterator of names is read once, before it is typed
-        subsets = [(n, list(c) if isinstance(c, Iterator) else c, q) for n, c, q in subsets]
+        try:  # an iterator of names is read once, before it is typed
+            subsets = [(n, list(c) if isinstance(c, Iterator) else c, q) for n, c, q in subsets]
+        except (TypeError, ValueError):  # no list of (name, candidates, quota) triples
+            raise InvalidInstance([f"instance {_WRONG_TYPE.format(field='subsets')}"]) from None
         problems = _instance_problems(num_voters, subsets)
         if problems:
             raise InvalidInstance(problems)
@@ -214,7 +198,7 @@ class ScvInstance:
         shape: Iterable[tuple[str, int, int]],
         rows: Sequence[int],
     ) -> "ScvInstance":
-        """Build and validate an instance whose :attr:`ballot_rows` are
+        """Build and validate an instance whose ``ballot_rows`` are
         ``rows``, whose names are distinct, and whose subsets are laid out
         from their (name, size, quota) ``shape``: each takes the next
         ``size`` ids in declaration order, so the partition holds by
@@ -271,10 +255,14 @@ def _resolve_ballots(bit_of: Mapping[str, int], ballots) -> tuple[int, ...]:
     """One candidate bitmask per ballot of names, ``bit_of[name]`` summed.
 
     A name repeated within a ballot counts once.  A string or a mapping (which
-    iterate over characters or keys) and a non-iterable are no ballot (:class:`InvalidInstance`);
+    iterate over characters or keys) and a non-iterable are no ballot, and
+    ``ballots`` must iterate (:class:`InvalidInstance`);
     :class:`SemanticError` names the first ballot with an undeclared name.
     """
-    ballots = list(ballots)
+    try:
+        ballots = list(ballots)
+    except TypeError:  # no list of ballots
+        raise InvalidInstance([f"instance {_WRONG_TYPE.format(field='ballots')}"]) from None
     if not all(map(_listlike, set(map(type, ballots)))):
         i = next(i for i, b in enumerate(ballots) if not _listlike(type(b)))
         raise InvalidInstance(_field_problems("ballot entry", [(i, "ballot", ballots[i])]))
@@ -306,7 +294,9 @@ def _validated(inst: ScvInstance, ballots) -> ScvInstance:
     were typed by its caller, its names and partition hold by construction
     and it has one ballot per row.  The partition check of an instance
     built from ids records the subset of each id it passes, and a valid
-    instance keeps that record as its ``subset_index``."""
+    instance keeps that record as its ``subset_index`` and its ballots'
+    bitmasks as its ``ballot_rows``; every valid instance then gets the
+    rows' transpose as its ``approver_masks``."""
     problems: list[tuple[type, str]] = []  # (class, message), in check order
     m = inst.num_candidates
 
@@ -375,7 +365,9 @@ def _validated(inst: ScvInstance, ballots) -> ScvInstance:
     if problems:
         raise problems[0][0]([message for _, message in problems])
     if ballots is not None:
-        inst.__dict__["subset_index"] = tuple(index)
+        inst.__dict__.update(subset_index=tuple(index),
+                             ballot_rows=tuple(sum(map((1).__lshift__, b)) for b in ballots))
+    inst.__dict__["approver_masks"] = _transpose(inst.ballot_rows, m)
     return inst
 
 
@@ -887,10 +879,10 @@ class PartyListModel:
     blocks: tuple[tuple[int, tuple[str, ...]], ...]
 
     def __post_init__(self):
-        # a field is read only as a list of records of its width, and names
-        # from a list only, as parsing reads them (see _generate_party_list)
-        object.__setattr__(self, "subsets", _read_records(self.subsets, "subset records"))
-        object.__setattr__(self, "blocks", _read_records(self.blocks, "block records"))
+        # a field, its records and their names are read only as lists, as
+        # parsing reads them (see _generate_party_list)
+        object.__setattr__(self, "subsets", _read_records(self.subsets))
+        object.__setattr__(self, "blocks", _read_records(self.blocks))
 
 
 @dataclass(frozen=True)
@@ -903,12 +895,11 @@ class SetCoverModel:
     budget: int
 
 
-def _read_records(field, kind: str):
-    """A model's ``field`` read as a list of records (:func:`_tupled`), and
-    the names in each, its second value, read the same way, when the
-    records pass ``kind``; else as the list read, or as it is."""
-    records = tuple(map(_tupled, field)) if _listlike(type(field)) else field
-    return tuple((r[0], _tupled(r[1]), *r[2:]) for r in records) if _KINDS[kind][0](records) else records
+def _read_records(field):
+    """A model's ``field``, each record in it and every value in a record,
+    each read as :func:`_tupled` reads a value; the generator types them."""
+    return tuple(tuple(map(_tupled, r)) if _listlike(type(r)) else r
+                 for r in field) if _listlike(type(field)) else field
 
 
 def _read_model(model, *numbers: str, **counts) -> list:
@@ -917,13 +908,15 @@ def _read_model(model, *numbers: str, **counts) -> list:
     typed; :class:`BadSpec` names the first field that holds a value of
     another kind.  A bool passes, as it does in arithmetic and in
     :func:`_is_id`, and a count reads as 0 or 1 before anything is built."""
-    listed = {field: v if isinstance(v, tuple) else (v,) for field, v in counts.items()}
-    for problem in _field_problems(type(model).__name__, [
-            *[(field, "count", v) for field, values in listed.items() for v in values],
-            *[(field, "number", getattr(model, field)) for field in numbers]]):
+    where, read = type(model).__name__, []
+    for field, value in counts.items():
+        values = value if isinstance(value, tuple) else (value,)
+        for problem in _field_problems(where, zip(repeat(field), repeat("count"), values)):
+            raise BadSpec(problem)
+        read.append(tuple(map(int, values)) if values is value else int(value))
+    for problem in _field_problems(where, [(field, "number", getattr(model, field)) for field in numbers]):
         raise BadSpec(problem)
-    return [tuple(map(int, values)) if isinstance(counts[field], tuple) else int(values[0])
-            for field, values in listed.items()]
+    return read
 
 
 def generate_set_cover(model: SetCoverModel, seed: int) -> SetCoverInstance:

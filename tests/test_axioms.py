@@ -192,6 +192,27 @@ def test_jr_wrapper_names_a_bad_ballot_id(ballots, problems):
     assert excinfo.value.problems == problems
 
 
+@pytest.mark.parametrize(
+    "k, num_candidates, problems",
+    [
+        (1.5, None, ["check_jr field 'k' must be an integer"]),
+        (True, None, ["check_jr field 'k' must be an integer"]),
+        (None, None, ["check_jr field 'k' must be an integer"]),
+        (1, "2", ["check_jr field 'num_candidates' must be an integer"]),
+        (1, True, ["check_jr field 'num_candidates' must be an integer"]),
+        ("1", 2.0, ["check_jr field 'k' must be an integer",
+                    "check_jr field 'num_candidates' must be an integer"]),
+    ],
+    ids=["float-k", "bool-k", "null-k", "string-num-candidates", "bool-num-candidates", "both"],
+)
+def test_jr_wrapper_types_k_and_num_candidates(k, num_candidates, problems):
+    # named as the caller wrote them, not as fields of the embedding
+    with pytest.raises(sv.InvalidInstance) as excinfo:
+        sv.check_jr([[0]], {0}, k=k, num_candidates=num_candidates)
+    assert type(excinfo.value) is sv.InvalidInstance
+    assert excinfo.value.problems == problems
+
+
 def test_jr_wrapper_names_an_unhashable_committee_member():
     with pytest.raises(sv.InfeasibleCommittee, match=r"^unknown candidate id \[0\]$"):
         sv.check_jr([[0], [1]], [[0]], k=1)

@@ -313,6 +313,25 @@ def test_a_ballot_or_candidates_field_that_lists_no_names_is_invalid(subsets, ba
     assert excinfo.value.problems == [problem]
 
 
+@pytest.mark.parametrize(
+    "subsets, ballots, problem",
+    [
+        ([("C", ["a"])], [["a"]], "instance field 'subsets' has the wrong type"),
+        ([5], [["a"]], "instance field 'subsets' has the wrong type"),
+        (None, [["a"]], "instance field 'subsets' has the wrong type"),
+        ([("C", ["a"], 1)], None, "instance field 'ballots' has the wrong type"),
+    ],
+    ids=["short-subset", "integer-subset", "null-subsets", "null-ballots"],
+)
+def test_a_badly_shaped_subsets_or_ballots_argument_is_named(subsets, ballots, problem):
+    # the parser types both fields before it calls from_names, so only a
+    # direct call can get here
+    with pytest.raises(sv.InvalidInstance) as excinfo:
+        sv.ScvInstance.from_names(1, subsets, ballots)
+    assert type(excinfo.value) is sv.InvalidInstance
+    assert excinfo.value.problems == [problem]
+
+
 def test_validate_accepts_parsed_documents_too():
     doc = {
         "voters": 1,
@@ -1326,6 +1345,39 @@ def test_an_instance_built_from_ids_gets_its_subset_index_from_validation():
     assert not hasattr(broken, "subset_index")
 
 
+def test_validation_writes_the_rows_and_masks_of_an_instance_built_from_ids():
+    # interleaved members, and voter and candidate counts on either side of
+    # 64: rows and masks as computed bit by bit from the ballots
+    rng = random.Random(36)
+    for voters, total in [(4, 4), (1, 1), (70, 3), (3, 70), (130, 65)]:
+        ids = rng.sample(range(total), total)
+        parts = min(3, total)
+        subsets = [sv.CandidateSubset(f"S{j}", ids[j::parts], 1) for j in range(parts)]
+        ballots = [frozenset(c for c in range(total) if rng.random() < 0.3) for _ in range(voters)]
+        inst = sv.ScvInstance(voters, [f"c{c}" for c in range(total)], subsets, ballots)
+        for name in ("ballot_rows", "approver_masks", "subset_index"):
+            assert not hasattr(inst, name)
+        assert sv.validate_instance(inst) is inst
+        assert inst.ballot_rows == tuple(sum(1 << c for c in range(total) if c in b) for b in ballots)
+        assert inst.approver_masks == tuple(
+            sum(1 << i for i, b in enumerate(ballots) if c in b) for c in range(total))
+        assert inst.subset_index == tuple(ids.index(c) % parts for c in range(total))
+
+
+def test_an_unvalidated_instance_reaches_no_solver():
+    # validation rejects the ballot [5], and only validation writes the
+    # rows and masks that the solvers and the serializer read
+    inst = sv.ScvInstance(1, ("x",), [sv.CandidateSubset("C", (0,), 1)], [[5]])
+    for read in (lambda: inst.ballot_rows, lambda: inst.approver_masks,
+                 lambda: sv.maximize(inst, sv.SW_PAV), lambda: sv.serialize_instance(inst)):
+        with pytest.raises(AttributeError):
+            read()
+    with pytest.raises(sv.BadBallot) as excinfo:
+        sv.validate_instance(inst)
+    assert excinfo.value.problems == ["ballot 0 references unknown candidate ids [5]"]
+    assert not hasattr(inst, "approver_masks")
+
+
 def test_generated_instances_always_validate():
     rng = random.Random(42)
     for _ in range(50):
@@ -1343,6 +1395,20 @@ def test_party_list_blocks_reproduce_the_axiom_split_instance():
     blocks += [(4, ("c7", "b")), (2, ("c8", "c"))]
     model = sv.PartyListModel(subsets=tuple(layout), blocks=tuple(blocks))
     assert sv.generate_instance(model, seed=0) == expected
+
+
+def test_a_party_list_model_reads_its_records_and_names_once():
+    # lists, or iterators read at construction, draw the model built from tuples
+    tupled = sv.PartyListModel((("C1", ("a", "b"), 1), ("C2", ("c",), 1)),
+                               ((2, ("a", "c")), (1, ("b",))))
+    for read in (list, iter):
+        model = sv.PartyListModel([["C1", read(["a", "b"]), 1], ("C2", read(["c"]), 1)],
+                                  [(2, read(["a", "c"])), [1, read(["b"])]])
+        assert model == tupled
+        assert hash(model) == hash(tupled)
+        first = sv.generate_instance(model, seed=0)
+        assert sv.generate_instance(model, seed=0) == first == sv.generate_instance(tupled, seed=0)
+        assert first.ballots == (frozenset({0, 2}), frozenset({0, 2}), frozenset({1}))
 
 
 def test_bad_generator_specs():

@@ -522,8 +522,9 @@ def test_maximize_reads_only_the_approver_masks():
     )]
     draws += [interleaved_instance(rng) for _ in range(50)]
     for inst in draws:
-        fresh = sv.ScvInstance(inst.num_voters, inst.candidate_names, inst.subsets, inst.ballots)
-        inst.approver_masks  # cached before the ballots go
+        fresh = sv.validate_instance(
+            sv.ScvInstance(inst.num_voters, inst.candidate_names, inst.subsets, inst.ballots))
+        inst.approver_masks  # written on validation, before the ballots go
         object.__setattr__(inst, "ballots", Unreadable())
         for variant in sv.VARIANTS:
             got_w, got_score = sv.maximize(inst, variant)
