@@ -74,8 +74,17 @@ MUTANTS = [
      "if sum(map(int.bit_count, rows)) == total:", "if True:", [REPEATED_NAME]),
     # a directly built ballot is frozen whatever it holds, merging 0.0 into 0
     ("every-ballot-frozen", "src/scvoting/core.py",
-     "frozenset(b) if all(map(int.__instancecheck__, b)) else b for b", "frozenset(b) for b",
+     "if isinstance(b, tuple) and all(map(int.__instancecheck__, b)) else b",
+     "if isinstance(b, tuple) else b",
      ["tests/test_axioms.py::test_jr_wrapper_names_a_bad_ballot_id"]),
+    # raw ballots are embedded with a quota of 1, whatever k is
+    ("jr-embedding-quota-one", "src/scvoting/axioms.py",
+     "tuple(range(num_candidates)), k),)", "tuple(range(num_candidates)), 1),)",
+     ["tests/test_axioms.py::test_jr_wrapper_examples"]),
+    # a mapping or a string subset entry is typed field by field, as a triple
+    ("entry-shape-unchecked", "src/scvoting/core.py",
+     "all(map(_listlike, map(type, subsets)))", "True",
+     ["tests/test_core.py::test_a_badly_shaped_subsets_or_ballots_argument_is_named"]),
     # validation writes the rows of an instance built from ids one bit off
     ("id-rows-one-bit-off", "src/scvoting/core.py",
      "sum(map((1).__lshift__, b))", "sum(map((2).__lshift__, b))",

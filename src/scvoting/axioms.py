@@ -5,9 +5,9 @@ voter groups (size thresholds are compared exactly via cross-multiplication,
 never floats):
 
 * ``jr``          - classic single-pool justified representation: sw-jr
-                    never reads the partition, so on an instance it is
-                    sw-jr relabelled; raw ballots are first embedded as a
-                    one-subset instance,
+                    never reads the partition, so jr is sw-jr's verdict
+                    under its own name, on an instance as it is and on raw
+                    ballots through a one-subset instance built for them,
 * ``sw-jr``       - span-wide: any group of >= n/k voters sharing a candidate
                     must get someone it approves, anywhere in the committee,
 * ``iw-jr``       - per subset: within subset j, groups of >= n/k_j voters
@@ -43,6 +43,8 @@ from .core import (
     Committee,
     ScvInstance,
     _field_problems,
+    _listlike,
+    _tupled,
     best_supported,
     validate_instance,
 )
@@ -236,14 +238,16 @@ def check_jr(
 ) -> AxiomVerdict:
     """Classic justified representation for a single candidate pool.
 
-    ``ballots`` is either raw ballots of integer candidate ids, embedded as a
-    one-subset instance (:func:`jr_embedding`), or an :class:`ScvInstance`,
-    checked as it is: sw-jr reads only n, k, the candidates and their
-    approvers, never the partition, so it is jr relabelled.  The committee
-    is still validated against that instance's quotas.  With an instance,
-    ``k`` must be its committee size and ``num_candidates`` ``None`` or its
-    candidate count, else :class:`ValueError`.  With raw ballots, a ``k``
-    or ``num_candidates`` that is no int raises :class:`InvalidInstance`.
+    sw-jr reads only n, k, the candidates and their approvers, never the
+    partition, so jr is sw-jr's verdict under its own name.  ``ballots`` is
+    either an :class:`ScvInstance`, checked as it is, or raw ballots of
+    integer candidate ids, embedded here as a one-subset instance over ids
+    ``0 .. num_candidates-1`` with quota ``k``.  The committee is still
+    validated against that instance's quotas.  With an instance, ``k`` must
+    be its committee size and ``num_candidates`` ``None`` or its candidate
+    count, else :class:`ValueError`.  With raw ballots, a ``k`` or
+    ``num_candidates`` that is no int raises :class:`InvalidInstance`, and a
+    ballot that is no list :class:`BadBallot`.
     """
     if isinstance(ballots, ScvInstance):
         inst = ballots
@@ -256,31 +260,20 @@ def check_jr(
                 f"num_candidates = {exact_str(num_candidates)} but the instance has {inst.num_candidates}"
             )
     else:
-        ballots, committee = [list(b) for b in ballots], list(committee)
+        # a ballot that reads as no list is kept, for validation to name
+        ballots, committee = list(map(_tupled, ballots)), list(committee)
         if num_candidates is None:
-            num_candidates = max((c for b in (committee, *ballots) for c in b
+            num_candidates = max((c for b in (committee, *ballots) if _listlike(type(b)) for c in b
                                   if isinstance(c, int)), default=-1) + 1
         problems = _field_problems("check_jr", [("k", "int", k),
                                                 ("num_candidates", "int", num_candidates)])
         if problems:
             raise InvalidInstance(problems)
-        inst = jr_embedding(ballots, k, num_candidates)
-    verdict = check_sw_jr(inst, committee)
-    return AxiomVerdict(JR, verdict.satisfied, verdict.witness, verdict.note)
-
-
-def jr_embedding(
-    ballots: Iterable[Iterable[int]], k: int, num_candidates: int
-) -> ScvInstance:
-    """One-subset instance over candidates ``0 .. num_candidates-1``."""
-    ballots = list(ballots)
-    inst = ScvInstance(
-        num_voters=len(ballots),
-        candidate_names=tuple(f"c{c}" for c in range(num_candidates)),
-        subsets=(CandidateSubset("C", tuple(range(num_candidates)), k),),
-        ballots=ballots,
-    )
-    return validate_instance(inst)
+        # the one-subset embedding: candidates 0 .. num_candidates-1, quota k
+        inst = validate_instance(ScvInstance(
+            len(ballots), tuple(f"c{c}" for c in range(num_candidates)),
+            (CandidateSubset("C", tuple(range(num_candidates)), k),), ballots))
+    return _verdict(JR, _sw_violation, inst, committee)
 
 
 def brute_force_axiom(

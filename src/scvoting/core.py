@@ -55,7 +55,8 @@ class CandidateSubset:
     quota: int
 
     def __post_init__(self):
-        object.__setattr__(self, "members", tuple(self.members))
+        # members that read as no list are kept as given, for validation to name
+        object.__setattr__(self, "members", _tupled(self.members))
 
     @property
     def size(self) -> int:
@@ -86,9 +87,12 @@ class ScvInstance:
     def __post_init__(self):
         object.__setattr__(self, "candidate_names", tuple(self.candidate_names))
         object.__setattr__(self, "subsets", tuple(self.subsets))
-        # a ballot of ints is frozen, any other kept for validation to name (0.0 is no 0)
-        object.__setattr__(self, "ballots", tuple(
-            frozenset(b) if all(map(int.__instancecheck__, b)) else b for b in map(tuple, self.ballots)))
+        # a ballot of ints is frozen and any other kept for validation to name
+        # (0.0 is no 0), as are ballots, or a ballot, that read as no list
+        if _listlike(type(self.ballots)):
+            object.__setattr__(self, "ballots", tuple(
+                frozenset(b) if isinstance(b, tuple) and all(map(int.__instancecheck__, b)) else b
+                for b in map(_tupled, self.ballots)))
 
     # -- derived quantities -------------------------------------------------
 
@@ -163,18 +167,25 @@ class ScvInstance:
         repeated within one ballot counts once.  Raises
         :class:`SemanticError` for duplicate or unknown names and the
         :class:`InvalidInstance` family for structural violations, the
-        mistyped fields first and alone, as a parse reports them.
+        mistyped fields first and alone, as a parse reports them; an
+        argument that is no list of triples, such as one holding a mapping or
+        a string entry, is named as a whole.
         """
         try:  # an iterator of names is read once, before it is typed
-            subsets = [(n, list(c) if isinstance(c, Iterator) else c, q) for n, c, q in subsets]
-        except (TypeError, ValueError):  # no list of (name, candidates, quota) triples
-            raise InvalidInstance([f"instance {_WRONG_TYPE.format(field='subsets')}"]) from None
-        problems = _instance_problems(num_voters, subsets)
+            triples = [(n, list(c) if isinstance(c, Iterator) else c, q) for n, c, q in subsets]
+            problems = _instance_problems(num_voters, triples)
+            # a mapping or a string entry unpacks into its keys or characters,
+            # so its candidates read as a string and fail typing
+            shaped = not problems or all(map(_listlike, map(type, subsets)))
+        except (TypeError, ValueError):
+            shaped = False
+        if not shaped:  # no list of (name, candidates, quota) triples
+            raise InvalidInstance([f"instance {_WRONG_TYPE.format(field='subsets')}"])
         if problems:
             raise InvalidInstance(problems)
         names: list[str] = []
         shape: list[tuple[str, int, int]] = []
-        for sub_name, cand_names, quota in subsets:
+        for sub_name, cand_names, quota in triples:
             start = len(names)
             names += cand_names
             shape.append((sub_name, len(names) - start, quota))
@@ -229,13 +240,20 @@ def validate_instance(raw) -> ScvInstance:
     (:class:`QuotaInfeasible`, :class:`PartitionBroken`, or
     :class:`BadBallot`, with plain :class:`InvalidInstance` for structural
     problems such as ``n < 1``).  A field of a type the JSON format cannot
-    hold, such as a float quota, is a structural problem checked first.  A
-    mapping raises :class:`ParseError` when malformed and
+    hold, such as a float quota, is a structural problem checked first.
+    Ballots or a subset's members that read as no list are named even
+    before, and alone; a single ballot that does is a :class:`BadBallot`
+    problem.  A mapping raises :class:`ParseError` when malformed and
     :class:`SemanticError` otherwise, listing any violations above in
     ``.problems`` (see :func:`instance_from_document`).
     """
     if isinstance(raw, Mapping):
         return instance_from_document(raw)
+    problems = _field_problems("instance", [("ballots", "list", raw.ballots)])
+    for j, sub in enumerate(raw.subsets):
+        problems += _field_problems(f"subset entry {j}", [("candidates", "list", sub.members)])
+    if problems:
+        raise InvalidInstance(problems)
     return _validated(raw, raw.ballots)
 
 
@@ -548,12 +566,15 @@ def _is_id(value, m: int) -> bool:
     return isinstance(value, int) and 0 <= value < m
 
 
-def _ballot_problems(ballots: Iterable[Iterable], m: int) -> list[str]:
-    """A message per ballot naming, once each, its entries that are no id of m candidates."""
+def _ballot_problems(ballots: Sequence, m: int) -> list[str]:
+    """A message per ballot that reads as no list, then one per other ballot
+    naming, once each, its entries that are no id of m candidates."""
     bad = [sorted({exact_repr(c): c for c in b if not _is_id(c, m)}.values(),
-                  key=lambda c: (0, c) if isinstance(c, int) else (1, repr(c))) for b in ballots]
-    return [f"ballot {i} references unknown candidate ids {_id_list(ids)}"
-            for i, ids in enumerate(bad) if ids]
+                  key=lambda c: (0, c) if isinstance(c, int) else (1, repr(c)))
+           if _listlike(type(b)) else [] for b in ballots]
+    return _field_problems("ballot entry", zip(count(), repeat("id ballot"), ballots)) + [
+        f"ballot {i} references unknown candidate ids {_id_list(ids)}"
+        for i, ids in enumerate(bad) if ids]
 
 
 def _repeats(names: Sequence) -> bool:
@@ -589,6 +610,7 @@ _KINDS = {
     "list": (lambda value: _listlike(type(value)), _WRONG_TYPE),
     "names": (_listed("str"), "field {field!r} must list strings"),
     "ballot": (_listed("str"), "{field} must be a list of candidate names"),
+    "id ballot": (lambda value: _listlike(type(value)), "{field} must be a list of candidate ids"),
     "set-cover entry": (_listed("int"), "{field} must be a list of integers"),
     # a model's counts and probabilities, which a bool passes as in arithmetic
     "count": (lambda value: isinstance(value, int), "field {field!r} holds {value!r}, not an integer"),

@@ -40,8 +40,8 @@ from math import comb, lcm, prod
 from operator import or_
 from typing import Iterable, Optional, Sequence
 
-from .core import Committee, ScvInstance
-from .errors import BudgetExceeded, NotMember, exact_repr, exact_str
+from .core import Committee, ScvInstance, _field_problems
+from .errors import BudgetExceeded, InvalidInstance, NotMember, exact_repr, exact_str
 
 SW_PAV = "sw-pav"
 IW_PAV = "iw-pav"
@@ -178,13 +178,17 @@ def maximize(
     The variant only picks the scopes: ``sw-pav`` searches one holding every
     subset, ``iw-pav`` one per subset.  Raises :class:`BudgetExceeded`
     (reporting the committee count that would be enumerated) instead of
-    starting a search larger than ``budget``.  Among co-optimal committees
-    the lexicographically least sorted member tuple is returned.  The counts
-    of the search are added to ``stats`` when one is given; the result is
-    the same either way.
+    starting a search larger than ``budget``, and :class:`InvalidInstance`
+    when ``budget`` is no int.  Among co-optimal committees the
+    lexicographically least sorted member tuple is returned.  The counts of
+    the search are added to ``stats`` when one is given; the result is the
+    same either way.
     """
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
+    if type(budget) is not int:  # so a plain int costs one test, and no message is built
+        for problem in _field_problems("maximize", [("budget", "int", budget)]):
+            raise InvalidInstance([problem])
     subsets = [(sorted(sub.members), sub.quota) for sub in inst.subsets]
     scopes = [subsets] if variant == SW_PAV else [[part] for part in subsets]
     total = sum(prod(comb(len(pool), q) for pool, q in scope) for scope in scopes)

@@ -83,10 +83,11 @@ from .core import (
     Committee,
     ScvInstance,
     SetCoverInstance,
+    _field_problems,
     count_feasible_committees,
     validate_set_cover,
 )
-from .errors import BudgetExceeded, NotACover
+from .errors import BudgetExceeded, InvalidInstance, NotACover
 from .axioms import check_sw_jr
 
 DEFAULT_SEARCH_BUDGET = 10_000_000
@@ -121,9 +122,13 @@ def sw_jr_exists(
     """Lexicographically least committee passing ``check_sw_jr``, or None.
 
     Raises :class:`BudgetExceeded` when the feasible-committee count is
-    beyond ``budget``.  The counts of the search are added to ``stats``
-    when one is given; the result is the same either way.
+    beyond ``budget``, and :class:`InvalidInstance` when ``budget`` is no
+    int.  The counts of the search are added to ``stats`` when one is
+    given; the result is the same either way.
     """
+    if type(budget) is not int:  # so a plain int costs one test, and no message is built
+        for problem in _field_problems("sw_jr_exists", [("budget", "int", budget)]):
+            raise InvalidInstance([problem])
     total = count_feasible_committees(inst)
     if total > budget:
         raise BudgetExceeded(total, budget)
