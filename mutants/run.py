@@ -84,7 +84,7 @@ MUTANTS = [
     # a mapping or a string subset entry is typed field by field, as a triple
     ("entry-shape-unchecked", "src/scvoting/core.py",
      "all(map(_listlike, map(type, subsets)))", "True",
-     ["tests/test_core.py::test_a_badly_shaped_subsets_or_ballots_argument_is_named"]),
+     ["tests/test_contract.py::test_each_wrong_input_raises_the_error_its_contract_names"]),
     # validation writes the rows of an instance built from ids one bit off
     ("id-rows-one-bit-off", "src/scvoting/core.py",
      "sum(map((1).__lshift__, b))", "sum(map((2).__lshift__, b))",

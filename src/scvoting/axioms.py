@@ -5,9 +5,9 @@ voter groups (size thresholds are compared exactly via cross-multiplication,
 never floats):
 
 * ``jr``          - classic single-pool justified representation: sw-jr
-                    never reads the partition, so jr is sw-jr's verdict
-                    under its own name, on an instance as it is and on raw
-                    ballots through a one-subset instance built for them,
+                    never reads the partition, so on an instance it is
+                    sw-jr relabelled; raw ballots are first embedded as a
+                    one-subset instance,
 * ``sw-jr``       - span-wide: any group of >= n/k voters sharing a candidate
                     must get someone it approves, anywhere in the committee,
 * ``iw-jr``       - per subset: within subset j, groups of >= n/k_j voters
@@ -239,9 +239,9 @@ def check_jr(
     """Classic justified representation for a single candidate pool.
 
     sw-jr reads only n, k, the candidates and their approvers, never the
-    partition, so jr is sw-jr's verdict under its own name.  ``ballots`` is
-    either an :class:`ScvInstance`, checked as it is, or raw ballots of
-    integer candidate ids, embedded here as a one-subset instance over ids
+    partition, so jr is sw-jr's verdict relabelled.  ``ballots`` is either
+    an :class:`ScvInstance`, checked as it is, or raw ballots of integer
+    candidate ids, embedded here as a one-subset instance over ids
     ``0 .. num_candidates-1`` with quota ``k``.  The committee is still
     validated against that instance's quotas.  With an instance, ``k`` must
     be its committee size and ``num_candidates`` ``None`` or its candidate
@@ -273,7 +273,8 @@ def check_jr(
         inst = validate_instance(ScvInstance(
             len(ballots), tuple(f"c{c}" for c in range(num_candidates)),
             (CandidateSubset("C", tuple(range(num_candidates)), k),), ballots))
-    return _verdict(JR, _sw_violation, inst, committee)
+    verdict = check_sw_jr(inst, committee)
+    return AxiomVerdict(JR, verdict.satisfied, verdict.witness, verdict.note)
 
 
 def brute_force_axiom(

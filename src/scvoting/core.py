@@ -171,7 +171,9 @@ class ScvInstance:
         argument that is no list of triples, such as one holding a mapping or
         a string entry, is named as a whole.
         """
-        try:  # an iterator of names is read once, before it is typed
+        try:  # an iterator, of entries or of names, is read once, before it is typed
+            if isinstance(subsets, Iterator):
+                subsets = list(subsets)
             triples = [(n, list(c) if isinstance(c, Iterator) else c, q) for n, c, q in subsets]
             problems = _instance_problems(num_voters, triples)
             # a mapping or a string entry unpacks into its keys or characters,
@@ -262,6 +264,11 @@ def _listlike(kind: type) -> bool:
     """Whether values of ``kind`` are read as a list: iterable, and neither a
     string nor a mapping, which iterate over characters or keys."""
     return issubclass(kind, Iterable) and not issubclass(kind, (str, Mapping))
+
+
+def _reads_as_list(value) -> bool:
+    """Whether ``value`` reads as a list (:func:`_listlike`)."""
+    return _listlike(type(value))
 
 
 def _tupled(value):
@@ -607,10 +614,10 @@ def _records(width: int):
 _KINDS = {
     "int": (_is_int, "field {field!r} must be an integer"),
     "str": (str.__instancecheck__, _WRONG_TYPE),  # isinstance(value, str), in C for each name
-    "list": (lambda value: _listlike(type(value)), _WRONG_TYPE),
+    "list": (_reads_as_list, _WRONG_TYPE),
     "names": (_listed("str"), "field {field!r} must list strings"),
     "ballot": (_listed("str"), "{field} must be a list of candidate names"),
-    "id ballot": (lambda value: _listlike(type(value)), "{field} must be a list of candidate ids"),
+    "id ballot": (_reads_as_list, "{field} must be a list of candidate ids"),
     "set-cover entry": (_listed("int"), "{field} must be a list of integers"),
     # a model's counts and probabilities, which a bool passes as in arithmetic
     "count": (lambda value: isinstance(value, int), "field {field!r} holds {value!r}, not an integer"),

@@ -187,8 +187,9 @@ def maximize(
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}, expected one of {VARIANTS}")
     if type(budget) is not int:  # so a plain int costs one test, and no message is built
-        for problem in _field_problems("maximize", [("budget", "int", budget)]):
-            raise InvalidInstance([problem])
+        problems = _field_problems("maximize", [("budget", "int", budget)])
+        if problems:
+            raise InvalidInstance(problems)
     subsets = [(sorted(sub.members), sub.quota) for sub in inst.subsets]
     scopes = [subsets] if variant == SW_PAV else [[part] for part in subsets]
     total = sum(prod(comb(len(pool), q) for pool, q in scope) for scope in scopes)

@@ -127,8 +127,9 @@ def sw_jr_exists(
     given; the result is the same either way.
     """
     if type(budget) is not int:  # so a plain int costs one test, and no message is built
-        for problem in _field_problems("sw_jr_exists", [("budget", "int", budget)]):
-            raise InvalidInstance([problem])
+        problems = _field_problems("sw_jr_exists", [("budget", "int", budget)])
+        if problems:
+            raise InvalidInstance(problems)
     total = count_feasible_committees(inst)
     if total > budget:
         raise BudgetExceeded(total, budget)

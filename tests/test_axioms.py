@@ -213,16 +213,6 @@ def test_jr_wrapper_types_k_and_num_candidates(k, num_candidates, problems):
     assert excinfo.value.problems == problems
 
 
-@pytest.mark.parametrize("ballots", [[None], [[0], 5], ["ab"], [{0: 1}]],
-                         ids=["null-ballot", "integer-ballot", "string-ballot", "mapping-ballot"])
-def test_jr_wrapper_names_a_ballot_that_is_no_list(ballots):
-    # kept as given, it sizes no candidate pool, and validation names it
-    bad = next(i for i, b in enumerate(ballots) if not isinstance(b, list))
-    with pytest.raises(sv.BadBallot) as excinfo:
-        sv.check_jr(ballots, {0}, k=1)
-    assert excinfo.value.problems == [f"ballot entry {bad} must be a list of candidate ids"]
-
-
 def test_jr_wrapper_names_an_unhashable_committee_member():
     with pytest.raises(sv.InfeasibleCommittee, match=r"^unknown candidate id \[0\]$"):
         sv.check_jr([[0], [1]], [[0]], k=1)
@@ -263,7 +253,12 @@ def test_jr_on_an_instance_builds_nothing_new(monkeypatch):
     assert verdict == sv.AxiomVerdict(
         sv.JR, False, sv.Violation({1}, (inst.candidate_id("a2"),))
     )
-    assert calls == [("enter", "check_jr"), ("exit", "check_jr")]
+    assert calls == [
+        ("enter", "check_jr"),
+        ("enter", "check_sw_jr"),
+        ("exit", "check_sw_jr"),
+        ("exit", "check_jr"),
+    ]
 
 
 def seeded_jr_instance(rng):

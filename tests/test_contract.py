@@ -6,6 +6,9 @@ a library error, of the class and with the message its row names.  A value
 that is no object of the kind a call expects, such as no instance at all or
 a committee that does not iterate, keeps Python's own error: a
 ``TypeError``, or an ``AttributeError`` where an instance's field is read.
+
+A wrong input that a module test already pins, such as a mistyped model
+field or ``check_jr``'s ``k``, has its row there, not here.
 """
 
 import pytest
@@ -19,64 +22,57 @@ TYPE_ERROR_ALLOWED = "TypeError allowed"
 INST = fixtures.no_swjr_instance()
 
 SUBSETS_TYPE = (sv.InvalidInstance, "instance field 'subsets' has the wrong type")
-BALLOTS_TYPE = (sv.InvalidInstance, "instance field 'ballots' has the wrong type")
 BALLOT_ENTRY = (sv.BadBallot, "ballot entry 0 must be a list of candidate ids")
 
 
-def built_from_ids(members, ballots):
+def built_from_ids(members, ballots, num_voters=1):
     """An instance of one candidate built directly from ids, validated."""
-    return sv.validate_instance(sv.ScvInstance(1, ("x",), [sv.CandidateSubset("C", members, 1)], ballots))
+    return sv.validate_instance(
+        sv.ScvInstance(num_voters, ("x",), [sv.CandidateSubset("C", members, 1)], ballots))
 
 
-def generated(model):
-    return sv.generate_instance(model, 1)
+def from_names_through_an_iterator(num_voters, subsets, ballots):
+    """``from_names`` handed its subset entries as an iterator, made at the call."""
+    return sv.ScvInstance.from_names(num_voters, iter(subsets), ballots)
 
 
 # (id, callable, positional arguments, keyword arguments, expected)
 CONTRACT = [
-    # a subsets or ballots argument that is no list of triples or of ballots
+    # a subsets argument that is no list of triples
     ("from_names-mapping-entry", sv.ScvInstance.from_names,
      (1, [{"name": "C", "candidates": ["a"], "quota": 1}], [["a"]]), {}, SUBSETS_TYPE),
     ("from_names-string-entry", sv.ScvInstance.from_names, (1, ["abc"], [[]]), {}, SUBSETS_TYPE),
-    ("from_names-short-entry", sv.ScvInstance.from_names, (1, [("C", ["a"])], [["a"]]), {}, SUBSETS_TYPE),
-    ("from_names-integer-entry", sv.ScvInstance.from_names, (1, [5], [["a"]]), {}, SUBSETS_TYPE),
-    ("from_names-null-subsets", sv.ScvInstance.from_names, (1, None, [["a"]]), {}, SUBSETS_TYPE),
-    ("from_names-null-ballots", sv.ScvInstance.from_names, (1, [("C", ["a"], 1)], None), {},
-     BALLOTS_TYPE),
+    ("from_names-string-entry-after-a-triple", sv.ScvInstance.from_names,
+     (1, [("C", ["a"], 1), "abc"], [[]]), {}, SUBSETS_TYPE),
+    ("from_names-string-entry-from-an-iterator", from_names_through_an_iterator,
+     (1, [("C", ["a"], 1), "abc"], [[]]), {}, SUBSETS_TYPE),
     # ballots and members of an instance built directly from ids
     ("direct-null-ballot", built_from_ids, ((0,), [None]), {}, BALLOT_ENTRY),
-    ("direct-null-ballots", built_from_ids, ((0,), None), {}, BALLOTS_TYPE),
+    ("direct-string-ballot-after-a-bad-id", built_from_ids, ((0,), [[0.5], "x"]), {"num_voters": 2},
+     (sv.BadBallot, "ballot entry 1 must be a list of candidate ids; "
+                    "ballot 0 references unknown candidate ids [0.5]")),
+    ("direct-null-ballots", built_from_ids, ((0,), None), {},
+     (sv.InvalidInstance, "instance field 'ballots' has the wrong type")),
     ("direct-integer-members", built_from_ids, (5, [[0]]), {},
+     (sv.InvalidInstance, "subset entry 0 field 'candidates' has the wrong type")),
+    ("direct-mapping-members", built_from_ids, ({0: 1}, [[0]]), {},
      (sv.InvalidInstance, "subset entry 0 field 'candidates' has the wrong type")),
     # the arguments of the classic single-pool check
     ("check_jr-null-ballot", sv.check_jr, ([None], {0}), {"k": 1}, BALLOT_ENTRY),
-    ("check_jr-float-k", sv.check_jr, ([[0]], {0}), {"k": 1.5},
-     (sv.InvalidInstance, "check_jr field 'k' must be an integer")),
-    ("check_jr-string-num-candidates", sv.check_jr, ([[0]], {0}), {"k": 1, "num_candidates": "2"},
-     (sv.InvalidInstance, "check_jr field 'num_candidates' must be an integer")),
+    ("check_jr-integer-ballot", sv.check_jr, ([[0], 5], {0}), {"k": 1},
+     (sv.BadBallot, "ballot entry 1 must be a list of candidate ids")),
+    ("check_jr-mapping-ballot", sv.check_jr, ([{0: 1}], {0}), {"k": 1}, BALLOT_ENTRY),
     # budgets
     ("maximize-null-budget", sv.maximize, (INST, sv.SW_PAV), {"budget": None},
      (sv.InvalidInstance, "maximize field 'budget' must be an integer")),
     ("maximize-float-budget", sv.maximize, (INST, sv.IW_PAV), {"budget": 1.5},
      (sv.InvalidInstance, "maximize field 'budget' must be an integer")),
+    ("maximize-bool-budget", sv.maximize, (INST, sv.SW_PAV), {"budget": True},
+     (sv.InvalidInstance, "maximize field 'budget' must be an integer")),
     ("sw_jr_exists-null-budget", sv.sw_jr_exists, (INST,), {"budget": None},
      (sv.InvalidInstance, "sw_jr_exists field 'budget' must be an integer")),
     ("sw_jr_exists-string-budget", sv.sw_jr_exists, (INST,), {"budget": "5"},
      (sv.InvalidInstance, "sw_jr_exists field 'budget' must be an integer")),
-    # the fields of the generators' models
-    ("party-list-integer-subsets", generated, (sv.PartyListModel(5, ((1, ("a",)),)),), {},
-     (sv.BadSpec, "PartyListModel field 'subsets' has the wrong type")),
-    ("party-list-string-candidates", generated,
-     (sv.PartyListModel((("C", "ab", 1),), ((1, ("a",)),)),), {},
-     (sv.BadSpec, "PartyListModel field 'subsets' must list strings")),
-    ("party-list-integer-blocks", generated, (sv.PartyListModel((("C", ("a",), 1),), 5),), {},
-     (sv.BadSpec, "PartyListModel field 'blocks' has the wrong type")),
-    ("uniform-integer-sizes", generated, (sv.UniformModel(2, 5, (1,), 0.5),), {},
-     (sv.BadSpec, "UniformModel field 'sizes' has the wrong type")),
-    ("uniform-null-voters", generated, (sv.UniformModel(None, (1,), (1,), 0.5),), {},
-     (sv.BadSpec, "UniformModel field 'num_voters' holds None, not an integer")),
-    ("uniform-string-probability", generated, (sv.UniformModel(2, (1,), (1,), "x"),), {},
-     (sv.BadSpec, "UniformModel field 'approval_prob' holds 'x', not a number")),
     # no object of the kind expected
     ("check_sw_jr-null-committee", sv.check_sw_jr, (INST, None), {}, TYPE_ERROR_ALLOWED),
     ("sw_pav_score-null-committee", sv.sw_pav_score, (INST, None), {}, TYPE_ERROR_ALLOWED),

@@ -569,13 +569,6 @@ def test_budget_guard_reports_the_count():
         assert excinfo.value.count == count
 
 
-@pytest.mark.parametrize("budget", [None, "5", 1.5, True], ids=["null", "string", "float", "bool"])
-def test_a_budget_that_is_no_int_is_named(budget):
-    with pytest.raises(sv.InvalidInstance) as excinfo:
-        sv.maximize(fixtures.pav_vs_swjr_instance(), sv.SW_PAV, budget=budget)
-    assert excinfo.value.problems == ["maximize field 'budget' must be an integer"]
-
-
 def test_unknown_variant_rejected():
     with pytest.raises(ValueError):
         sv.maximize(fixtures.no_swjr_instance(), "max-av")

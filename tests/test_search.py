@@ -312,13 +312,6 @@ def test_search_budget_guard():
     assert excinfo.value.count == 252 * 252
 
 
-@pytest.mark.parametrize("budget", [None, "5", 1.5, True], ids=["null", "string", "float", "bool"])
-def test_a_search_budget_that_is_no_int_is_named(budget):
-    with pytest.raises(sv.InvalidInstance) as excinfo:
-        sv.sw_jr_exists(fixtures.no_swjr_instance(), budget=budget)
-    assert excinfo.value.problems == ["sw_jr_exists field 'budget' must be an integer"]
-
-
 # -- set-cover encoding ------------------------------------------------------------
 
 
